@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -86,19 +87,24 @@ end
 // TestReplayReproducesLiveVerdicts is the replay acceptance criterion:
 // a captured join session, re-fed offline through the same validators,
 // prints byte-for-byte the verdict report the live run printed, with
-// no divergence between recomputed and recorded verdicts.
+// no divergence between recomputed and recorded verdicts. On the
+// invalid corpus the capture is replayed again without f2's and f3's
+// verdicts and transfer ends — a recording whose failing f1 withdrew
+// their verdict requests and cut their transfers short, as happens
+// when it wins the race — and must still reproduce the live report.
 func TestReplayReproducesLiveVerdicts(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		docs []string
+		name     string
+		docs     []string
+		withdraw []string
 	}{
-		{"valid", eurostatValidDocs},
+		{"valid", eurostatValidDocs, nil},
 		{"invalid", func() []string {
 			bad := make([]string, len(eurostatValidDocs))
 			copy(bad, eurostatValidDocs)
 			bad[1] = "root2(nationalIndex(country))"
 			return bad
-		}()},
+		}(), []string{"f2", "f3"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			df, srv := startEurostatServe(t, tc.docs)
@@ -133,6 +139,30 @@ func TestReplayReproducesLiveVerdicts(t *testing.T) {
 			}
 			if replayed != live {
 				t.Fatalf("replay output differs from the live run:\n--- live ---\n%s--- replay ---\n%s", live, replayed)
+			}
+			if tc.withdraw == nil {
+				return
+			}
+			fnOf := map[[2]uint64]string{} // verdict request or stream -> fn
+			var kept []dxml.FlightRecord
+			for _, r := range recs {
+				info, err := dxml.DecodeFrame(r.Wire)
+				if err != nil {
+					t.Fatal(err)
+				}
+				k := [2]uint64{r.Sess, uint64(info.Stream)}
+				switch info.Type {
+				case "verdict_req", "open":
+					fnOf[k] = info.Str
+				case "verdict", "end":
+					if slices.Contains(tc.withdraw, fnOf[k]) {
+						continue
+					}
+				}
+				kept = append(kept, r)
+			}
+			if replayed, _, err := RunReplay(df, kept); err != nil || replayed != live {
+				t.Fatalf("replay without the withdrawn verdicts: %v\n--- live ---\n%s--- replay ---\n%s", err, live, replayed)
 			}
 		})
 	}

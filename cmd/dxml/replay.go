@@ -145,7 +145,7 @@ func RunReplay(df *DesignFile, recs []dxml.FlightRecord) (string, []string, erro
 	}
 	funcs := df.Kernel.Funcs()
 
-	var diverged []string
+	var diverged, withdrawn []string
 	distributed := true
 	complete := true
 	trees := map[string]*dxml.Tree{}
@@ -159,7 +159,7 @@ func RunReplay(df *DesignFile, recs []dxml.FlightRecord) (string, []string, erro
 			if v, seen := s.verdicts[fn]; seen {
 				distributed = distributed && v
 			} else {
-				return "", nil, fmt.Errorf("replay: no verdict or fragment captured for docking point %s", fn)
+				withdrawn = append(withdrawn, fn)
 			}
 			continue
 		}
@@ -177,6 +177,12 @@ func RunReplay(df *DesignFile, recs []dxml.FlightRecord) (string, []string, erro
 		trees[fn] = tree
 	}
 
+	// A docking point with neither a verdict nor a fragment captured had
+	// its verdict request withdrawn, which happens only once the round
+	// has seen a failing verdict; otherwise the capture is incomplete.
+	if len(withdrawn) > 0 && distributed {
+		return "", nil, fmt.Errorf("replay: no verdict or fragment captured for docking point %s", withdrawn[0])
+	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "distributed: %s\n", verdictWord(distributed))
 	switch {

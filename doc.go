@@ -28,10 +28,11 @@
 // Stats. The chunk budget (Network.ChunkSize) trades peer memory against
 // framing overhead; verdicts and message counts are invariant under it.
 //
-// The federation's wire is a pluggable transport (internal/transport):
-// in-process by default, or real TCP — Network.ServeTCP hosts resource
-// peers on a socket and Network.DialTCP joins them as the kernel peer,
-// speaking a length-prefixed binary frame protocol (session hello with
+// The federation's wire (internal/transport) is one length-prefixed
+// binary frame protocol with one implementation, carried over an
+// in-memory connection by default or over TCP — Network.ServeTCP hosts
+// resource peers on a socket and Network.DialTCP joins them as the
+// kernel peer — speaking the same frames either way (session hello with
 // a design digest, per-fragment open/chunk/ack/close frames, and a
 // reject frame that halts a sender mid-transfer). Transfers flow under
 // credit-based sliding-window control: the hello requests a window of
@@ -55,7 +56,7 @@
 // edits (replace / insert / delete) that any number of subscribers
 // drain. Network.AttachEditor makes a peer editable; Network.OpenLive
 // turns the kernel peer into a live session: it pulls each fragment's
-// keyed snapshot, subscribes to the edit logs over either transport
+// keyed snapshot, subscribes to the edit logs over the same wire
 // (edit / ack / verdict-update frames — edits stay stop-and-wait; only
 // chunked fragment transfers pipeline under the credit window), and
 // maintains the global verdict by *incremental

@@ -100,8 +100,9 @@ type (
 
 // Distributed validation substrate.
 type (
-	// Network is an Active XML federation (in-process peers by default;
-	// see ServeTCP/DialTCP and Network.Transport for the real wire).
+	// Network is an Active XML federation (in-process peers by default,
+	// reached over an in-memory connection; see ServeTCP/DialTCP and
+	// Network.Transport for a TCP socket).
 	Network = p2p.Network
 	// ResourcePeer owns one docking point's document and local type.
 	ResourcePeer = p2p.ResourcePeer
@@ -143,10 +144,10 @@ const (
 )
 
 // Wire transport (internal/transport): the federation's verdicts and
-// chunked fragment streams run over a Session — in-process by default,
-// or real TCP between a hosting process (Network.ServeTCP) and a
-// joining kernel peer (Network.DialTCP), as driven by `dxml serve` and
-// `dxml join`.
+// chunked fragment streams run over a Session speaking one frame
+// protocol — over an in-memory connection by default, or over TCP
+// between a hosting process (Network.ServeTCP) and a joining kernel
+// peer (Network.DialTCP), as driven by `dxml serve` and `dxml join`.
 type (
 	// TransportSession is the kernel peer's connection to the peers
 	// behind the docking points: verdict requests and fragment streams.
@@ -214,9 +215,9 @@ type (
 	// HostCounters is one scope's (tenant or global) traffic counters,
 	// mirroring the protocol-level Stats clients keep.
 	HostCounters = host.CounterSnapshot
-	// RefusedError is a hello refused by the host: the machine-readable
-	// code plus the reason; it unwraps to ErrUnknownDesign or
-	// ErrOverCapacity.
+	// RefusedError is a hello or stream refused by the host: the
+	// machine-readable code plus the reason; it unwraps to
+	// ErrUnknownDesign or ErrOverCapacity.
 	RefusedError = transport.RefusedError
 )
 
@@ -305,12 +306,12 @@ var (
 type ChaosListener = chaos.Listener
 
 // Flight recorder (internal/flight): the federation's black box. A
-// FlightRecorder taps every wire frame (both transports) into a bounded
+// FlightRecorder taps every wire frame (in process or over TCP) into a bounded
 // ring and an optional full capture file; on any typed failure the
 // process dumps a postmortem bundle — frames, trace spans, metrics —
 // that `dxml inspect` decodes and `dxml replay` re-validates offline.
 type (
-	// TransportTap is the frame-observation seam both transports expose:
+	// TransportTap is the frame-observation seam of every session:
 	// assign one to Network.Tap (the FlightRecorder implements it).
 	TransportTap = transport.Tap
 	// FlightRecorder is the bounded frame ring + capture sink; nil

@@ -67,11 +67,13 @@ func drain(t testing.TB, frag transport.Fragment) []byte {
 }
 
 // TestTypedRefusalsBothTransports pins the shared error contract: an
-// unknown digest refuses with ErrUnknownDesign and an over-cap hello
-// with ErrOverCapacity, identically over the in-process session and a
-// TCP dial — and always immediately, never a hang.
+// unknown digest refuses with ErrUnknownDesign, and an over-cap hello or
+// stream with ErrOverCapacity, identically over the in-process session
+// and a TCP dial — and always immediately, never a hang.
 func TestTypedRefusalsBothTransports(t *testing.T) {
-	d := miniDesign(1, 4)
+	// Big enough that one credit window cannot carry the whole fragment,
+	// so the first stream is still open when the second is refused.
+	d := miniDesign(1, 1000)
 	unknown := transport.Digest("nobody registered this")
 
 	open := map[string]func(r *Registry, digest []byte) (transport.Session, func(), error){
@@ -98,7 +100,7 @@ func TestTypedRefusalsBothTransports(t *testing.T) {
 	}
 	for name, dial := range open {
 		t.Run(name, func(t *testing.T) {
-			reg := NewRegistry(Config{MaxSessions: 1})
+			reg := NewRegistry(Config{MaxSessions: 1, MaxTenantStreams: 1})
 			if err := reg.Register(d); err != nil {
 				t.Fatal(err)
 			}
@@ -115,10 +117,20 @@ func TestTypedRefusalsBothTransports(t *testing.T) {
 			if _, _, err := dial(reg, d.Digest); !errors.Is(err, transport.ErrOverCapacity) {
 				t.Fatalf("second session under cap 1: want ErrOverCapacity, got %v", err)
 			}
+			frag, err := sess.Open(context.Background(), "f1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = sess.Open(context.Background(), "f1")
+			var ref *transport.RefusedError
+			if !errors.As(err, &ref) || ref.Code != transport.RefuseOverCapacity || !errors.Is(err, transport.ErrOverCapacity) {
+				t.Fatalf("second stream under cap 1: want a typed over-capacity refusal, got %v", err)
+			}
+			frag.Abort()
 			done()
 			m := reg.Metrics()
-			if m.Global.Rejections != 2 {
-				t.Errorf("rejections = %d, want 2", m.Global.Rejections)
+			if m.Global.Rejections != 3 {
+				t.Errorf("rejections = %d, want 3", m.Global.Rejections)
 			}
 			if m.Global.Sessions != 1 {
 				t.Errorf("sessions = %d, want 1", m.Global.Sessions)

@@ -1,162 +1,20 @@
 package host
 
-import (
-	"context"
-	"io"
-	"sync"
+import "dxml/internal/transport"
 
-	"dxml/internal/transport"
-)
-
-// Session opens an in-process session against the registry: the same
-// admission control, routing, and accounting as a TCP hello, without
-// the socket. An unknown digest refuses with transport.ErrUnknownDesign
-// and an over-budget hello with transport.ErrOverCapacity — typed
-// exactly like the wire's refuse frame — so both transports share one
-// error contract. Close the session to release its admission slot.
+// Session opens an in-process session against the registry. It runs
+// the transport's own host loop with the registry as its router, so the
+// hello is admitted, routed, gated and accounted by the code a TCP
+// session goes through: an unknown digest refuses with
+// transport.ErrUnknownDesign, an over-budget hello or stream with
+// transport.ErrOverCapacity. Close the session to release its admission
+// slot; Close returns once the slot is free.
 func (r *Registry) Session(digest []byte, chunk int) (transport.Session, error) {
-	route, err := r.Route(digest)
+	s, err := transport.Local(transport.HostConfig{Router: r, Window: r.cfg.Window},
+		transport.Config{Digest: digest, Chunk: chunk})
 	if err != nil {
+		// Returned as a nil interface, not a typed-nil *Conn.
 		return nil, err
 	}
-	return &gatedSession{
-		inner: &transport.InProc{Sources: route.Sources, Chunk: chunk},
-		gate:  route.Gate,
-		close: route.Close,
-	}, nil
-}
-
-// gatedSession threads the in-process transport's traffic through the
-// registry's gate, mirroring what the TCP host's serving loop does on
-// the wire: verdicts and delivered fragments cost their envelope,
-// chunks and edits their payload, and every open transfer holds one
-// admission slot until it ends.
-type gatedSession struct {
-	inner     *transport.InProc
-	gate      transport.Gate
-	close     func()
-	closeOnce sync.Once
-}
-
-func (s *gatedSession) Verdict(ctx context.Context, fn string) (bool, error) {
-	v, err := s.inner.Verdict(ctx, fn)
-	if err == nil {
-		s.gate.VerdictServed(fn)
-	}
-	return v, err
-}
-
-func (s *gatedSession) Open(ctx context.Context, fn string) (transport.Fragment, error) {
-	if err := s.gate.OpenStream(fn); err != nil {
-		return nil, err
-	}
-	frag, err := s.inner.Open(ctx, fn)
-	if err != nil {
-		s.gate.CloseStream(fn)
-		return nil, err
-	}
-	return &gatedFragment{inner: frag, gate: s.gate, fn: fn}, nil
-}
-
-func (s *gatedSession) Close() error {
-	s.closeOnce.Do(s.close)
-	return s.inner.Close()
-}
-
-// Subscribe opens a gated live subscription; the feed's chunks and
-// edits are accounted as they are consumed.
-func (s *gatedSession) Subscribe(ctx context.Context, fn string) (transport.EditFeed, error) {
-	if err := s.gate.OpenStream(fn); err != nil {
-		return nil, err
-	}
-	feed, err := s.inner.Subscribe(ctx, fn)
-	if err != nil {
-		s.gate.CloseStream(fn)
-		return nil, err
-	}
-	return &gatedFeed{inner: feed, gate: s.gate, fn: fn}, nil
-}
-
-// Resubscribe reopens a subscription through the gate; a suffix resume
-// is recorded against the tenant's reconnect counter.
-func (s *gatedSession) Resubscribe(ctx context.Context, fn string, after uint64) (transport.EditFeed, error) {
-	if err := s.gate.OpenStream(fn); err != nil {
-		return nil, err
-	}
-	feed, err := s.inner.Resubscribe(ctx, fn, after)
-	if err != nil {
-		s.gate.CloseStream(fn)
-		return nil, err
-	}
-	if feed.Resumed() {
-		s.gate.Resumed(fn)
-	}
-	return &gatedFeed{inner: feed, gate: s.gate, fn: fn}, nil
-}
-
-// gatedFragment accounts one fragment transfer: each consumed chunk is
-// a frame, a clean EOF is the delivered envelope, and the stream slot
-// is released exactly once however the transfer ends.
-type gatedFragment struct {
-	inner   transport.Fragment
-	gate    transport.Gate
-	fn      string
-	release sync.Once
-}
-
-func (f *gatedFragment) Size() int { return f.inner.Size() }
-
-func (f *gatedFragment) Next() ([]byte, error) {
-	chunk, err := f.inner.Next()
-	switch {
-	case err == io.EOF:
-		f.gate.FragmentDelivered(f.fn)
-		f.release.Do(func() { f.gate.CloseStream(f.fn) })
-	case err == nil:
-		f.gate.ChunkShipped(len(chunk))
-	}
-	return chunk, err
-}
-
-func (f *gatedFragment) Abort() {
-	f.inner.Abort()
-	f.release.Do(func() { f.gate.CloseStream(f.fn) })
-}
-
-// gatedFeed accounts one live subscription: snapshot chunks and edits
-// as frames, the slot released at Close.
-type gatedFeed struct {
-	inner   transport.EditFeed
-	gate    transport.Gate
-	fn      string
-	release sync.Once
-}
-
-func (f *gatedFeed) Base() uint64      { return f.inner.Base() }
-func (f *gatedFeed) SnapshotSize() int { return f.inner.SnapshotSize() }
-func (f *gatedFeed) Resumed() bool     { return f.inner.Resumed() }
-
-func (f *gatedFeed) NextChunk() ([]byte, error) {
-	chunk, err := f.inner.NextChunk()
-	if err == nil {
-		f.gate.ChunkShipped(len(chunk))
-	}
-	return chunk, err
-}
-
-func (f *gatedFeed) NextEdit(ctx context.Context) (transport.EditFrame, error) {
-	e, err := f.inner.NextEdit(ctx)
-	if err == nil {
-		f.gate.EditShipped(e.WireSize())
-	}
-	return e, err
-}
-
-func (f *gatedFeed) SendVerdict(version uint64, valid bool) error {
-	return f.inner.SendVerdict(version, valid)
-}
-
-func (f *gatedFeed) Close() error {
-	f.release.Do(func() { f.gate.CloseStream(f.fn) })
-	return f.inner.Close()
+	return s, nil
 }

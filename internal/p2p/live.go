@@ -210,9 +210,9 @@ const verdictUpdateWireSize = 14
 // LiveFederation is the kernel peer's live session: replicas and the
 // incremental result tree, advanced by the docking points' edit feeds.
 type LiveFederation struct {
-	n    *Network
-	sess transport.Session
-	own  bool // session built for this live run: close it on Close
+	n       *Network
+	sess    transport.Session
+	release func() // closes sess when it was built for this live run
 
 	ctx         context.Context
 	cancel      context.CancelFunc
@@ -243,12 +243,13 @@ type LiveFederation struct {
 // lock, so the maintained verdict is always the verdict of a real
 // interleaving of the feeds.
 func (n *Network) OpenLive(ctx context.Context) (*LiveFederation, error) {
-	sess, err := n.session()
+	sess, release, err := n.session()
 	if err != nil {
 		return nil, err
 	}
 	ls, ok := sess.(transport.LiveSession)
 	if !ok {
+		release()
 		return nil, fmt.Errorf("p2p: transport %T does not support live sessions", sess)
 	}
 	lctx, cancel := context.WithCancel(ctx)
@@ -257,7 +258,7 @@ func (n *Network) OpenLive(ctx context.Context) (*LiveFederation, error) {
 		seed = 1
 	}
 	lv := &LiveFederation{
-		n: n, sess: sess, own: n.Transport == nil,
+		n: n, sess: sess, release: release,
 		ctx: lctx, cancel: cancel,
 		replicas: map[string]*live.Doc{},
 		feeds:    map[string]transport.EditFeed{},
@@ -271,6 +272,7 @@ func (n *Network) OpenLive(ctx context.Context) (*LiveFederation, error) {
 			f.Close()
 		}
 		cancel()
+		release()
 		return nil, err
 	}
 	frags := map[string]*xmltree.Tree{}
@@ -657,9 +659,7 @@ func (lv *LiveFederation) Close() error {
 			s.Close() // sessions opened by reconnects
 		}
 		lv.updatesOnce.Do(func() { close(lv.updates) })
-		if lv.own {
-			lv.sess.Close()
-		}
+		lv.release()
 	})
 	return nil
 }

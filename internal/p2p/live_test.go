@@ -140,7 +140,7 @@ func treeAt(t *xmltree.Tree, path []int) *xmltree.Tree {
 }
 
 // TestLiveFederationDifferential is the acceptance criterion across
-// both transports: the same seeded edit script runs over the in-process
+// both connections: the same seeded edit script runs over the in-process
 // session and over TCP loopback, and on both wires the verdict after
 // every edit equals from-scratch validation — so the two verdict
 // sequences are also identical to each other — and the per-edit wire

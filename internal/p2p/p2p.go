@@ -19,14 +19,14 @@
 // docking point spliced from the received fragment bytes — the extension
 // document is never materialized (Kernel.Extend is not called).
 //
-// The wire is the internal/transport abstraction: verdicts and chunked
-// fragment streams move over any transport.Session — the in-process
-// loopback by default, or real TCP sockets when Network.Transport is a
-// dialed session (see ServeTCP and DialTCP). Document transfers are
-// *chunked*: a fragment travels as a sequence of fixed-budget frames
-// (Network.ChunkSize) that the kernel peer feeds straight into a
-// push-parser Feeder as they arrive. Three properties hold on every
-// transport, pinned by differential tests:
+// The wire is internal/transport: verdicts and chunked fragment streams
+// move over a transport.Session speaking one frame protocol — over an
+// in-memory connection to this network's own peers by default, or over
+// TCP sockets when Network.Transport is a dialed session (see ServeTCP
+// and DialTCP). Document transfers are *chunked*: a fragment travels as
+// a sequence of fixed-budget frames (Network.ChunkSize) that the kernel
+// peer feeds straight into a push-parser Feeder as they arrive. Three
+// properties hold over either connection, pinned by differential tests:
 //
 //   - the kernel peer's memory is O(chunk + depth) per transfer instead
 //     of O(fragment): no fragment is ever buffered whole;
@@ -88,9 +88,8 @@ var ErrInvalidWindow = transport.ErrInvalidWindow
 const Unchunked = -1
 
 // Stats accumulates network traffic at the protocol level: payload
-// bytes and logical frames, identically on every transport (TCP's own
-// framing overhead is not counted, which is what makes the in-process
-// and TCP numbers comparable).
+// bytes and logical frames, identically over either connection (the
+// wire's own framing overhead is not counted).
 type Stats struct {
 	mu       sync.Mutex
 	Messages int // logical messages: verdicts and fragment shipments
@@ -314,9 +313,9 @@ func (s *peerSource) Size() int { return s.document().XMLSize() }
 func (s *peerSource) Serialize(w io.Writer) error { return s.document().ToXML(w) }
 
 // Network is a federation: one kernel peer plus one resource peer per
-// docking point. By default the peers live in process and the wire is
-// the in-process transport; set Transport to a dialed session (DialTCP)
-// to validate against remote peers instead.
+// docking point. By default the peers live in process, reached over an
+// in-memory connection; set Transport to a dialed session (DialTCP) to
+// validate against remote peers instead.
 type Network struct {
 	Kernel     *axml.Kernel
 	GlobalType *schema.EDTD
@@ -345,7 +344,7 @@ type Network struct {
 
 	// Transport, when non-nil, is the session the kernel peer validates
 	// over — typically DialTCP's federation of remote hosts. When nil,
-	// validation runs over the in-process transport against Peers.
+	// each validation runs over its own in-process session to Peers.
 	Transport transport.Session
 
 	// MaxInflight bounds how many fragment transfers the kernel peer
@@ -380,10 +379,9 @@ type Network struct {
 	Obs *obs.Collector
 
 	// Tap, when non-nil, is the flight-recorder seam threaded into every
-	// session this network dials, serves, or runs in process: each
-	// encoded/decoded frame (or, in process, the frame the event would
-	// put on the wire) is handed to it as raw bytes. Nil (the default)
-	// records nothing.
+	// session this network dials, serves, or runs in process (the kernel
+	// peer's side): each encoded/decoded frame is handed to it as raw
+	// bytes. Nil (the default) records nothing.
 	Tap transport.Tap
 
 	// OnWireError, when non-nil, is handed to ServeTCP's host as its
@@ -496,10 +494,11 @@ func (n *Network) peers() ([]*ResourcePeer, error) {
 	return out, nil
 }
 
-// localSession builds the in-process transport over this network's own
-// peers; override maps docking points to replacement documents (the
-// collaborative-edit protocols validate a proposed document without
-// committing it).
+// localSession serves this network's own peers in process (see
+// transport.Local); override maps docking points to replacement
+// documents (the collaborative-edit protocols validate a proposed
+// document without committing it). It serves nothing else, so its hello
+// carries no design digest. Close it to stop the serving side.
 func (n *Network) localSession(override map[string]*xmltree.Tree) (transport.Session, error) {
 	peers, err := n.peers()
 	if err != nil {
@@ -513,16 +512,21 @@ func (n *Network) localSession(override map[string]*xmltree.Tree) (transport.Ses
 	for _, p := range peers {
 		srcs[p.Func] = &peerSource{peer: p, doc: override[p.Func], obs: n.Obs}
 	}
-	return &transport.InProc{Sources: srcs, Chunk: n.chunkBudget(), Window: win, Tap: n.Tap}, nil
+	return transport.Local(transport.HostConfig{Sources: srcs},
+		transport.Config{Chunk: n.chunkBudget(), Window: win, Obs: n.Obs, Tap: n.Tap})
 }
 
 // session resolves the wire validation runs over: the externally dialed
-// Transport when set, the in-process loopback otherwise.
-func (n *Network) session() (transport.Session, error) {
+// Transport when set, a fresh in-process session otherwise. release
+// closes what session opened — never the caller's Transport.
+func (n *Network) session() (sess transport.Session, release func(), err error) {
 	if n.Transport != nil {
-		return n.Transport, nil
+		return n.Transport, func() {}, nil
 	}
-	return n.localSession(nil)
+	if sess, err = n.localSession(nil); err != nil {
+		return nil, nil, err
+	}
+	return sess, func() { sess.Close() }, nil
 }
 
 // Digest fingerprints the federation's design — the kernel document and
@@ -634,10 +638,11 @@ func (n *Network) ValidateDistributed() (bool, error) {
 // ValidateDistributedContext is ValidateDistributed under an external
 // context; canceling it aborts the round.
 func (n *Network) ValidateDistributedContext(ctx context.Context) (bool, error) {
-	sess, err := n.session()
+	sess, release, err := n.session()
 	if err != nil {
 		return false, err
 	}
+	defer release()
 	funcs := n.Kernel.Funcs()
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -719,10 +724,11 @@ func (n *Network) ValidateCentralized() (bool, error) {
 // transfers — the walk stops pulling frames, rejects halt the senders,
 // and nothing past the cancellation point is serialized.
 func (n *Network) ValidateCentralizedContext(ctx context.Context) (bool, error) {
-	sess, err := n.session()
+	sess, release, err := n.session()
 	if err != nil {
 		return false, err
 	}
+	defer release()
 	return n.centralizedOverSession(ctx, sess)
 }
 
@@ -891,6 +897,7 @@ func (n *Network) UpdatePeerCentralized(fn string, newDoc *xmltree.Tree) (admitt
 	if err != nil {
 		return false, err
 	}
+	defer sess.Close()
 	ok, err = n.centralizedOverSession(context.Background(), sess)
 	if err != nil || !ok {
 		return false, err

@@ -3,8 +3,10 @@ package p2p
 import (
 	"math/rand"
 	"net"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"dxml/internal/axml"
 	"dxml/internal/transport"
@@ -47,9 +49,11 @@ func serveFederation(t testing.TB, served *Network) (*Network, func()) {
 // across chunk sizes, inflight limits, and credit windows), a
 // federation validated over real TCP loopback produces verdicts,
 // message counts, frame counts, and byte totals — including
-// Stats.BytesSaved on mid-transfer rejections — identical to the
-// in-process transport. Window 1 degenerates to the old stop-and-wait
-// wire, so trial coverage includes it explicitly.
+// Stats.BytesSaved on mid-transfer rejections — identical to the same
+// federation run in process, where the same protocol runs over an
+// in-memory connection: the choice of connection is invisible. Window 1
+// degenerates to the old stop-and-wait wire, so trial coverage includes
+// it explicitly.
 func TestTCPDifferential(t *testing.T) {
 	r := rand.New(rand.NewSource(2026))
 	chunks := []int{16, 4096, Unchunked}
@@ -149,7 +153,7 @@ func diffTotals(after, before Totals) Totals {
 // TestWindowInvariantTotals pins the credit window as a pure latency
 // knob: the same federation validated centrally at windows 1, 2, 8 and
 // 32 produces identical verdicts, Messages, Frames, Bytes and
-// BytesSaved on both transports — window 1 reproducing the old
+// BytesSaved on both connections — window 1 reproducing the old
 // stop-and-wait totals byte for byte. Accounting is receiver-side on
 // consumed chunks, so pipelining depth must never leak into Stats.
 func TestWindowInvariantTotals(t *testing.T) {
@@ -296,5 +300,45 @@ func TestDigestMismatchRefusesJoin(t *testing.T) {
 	_, err = transport.Dial(host.Addr().String(), transport.Config{Digest: other.Digest(), Chunk: 64})
 	if err == nil || !strings.Contains(err.Error(), "digest mismatch") {
 		t.Fatalf("mismatched design should be refused at hello, got %v", err)
+	}
+}
+
+// TestLocalSessionsReleaseGoroutines: every validation that builds its
+// own in-process session closes it, and Close returns only after the
+// serving side has wound down — so 200 rounds of distributed,
+// centralized, and rejected and admitted collaborative edits leave the
+// goroutine count where it started.
+func TestLocalSessionsReleaseGoroutines(t *testing.T) {
+	n, typing := eurostatSetup(t)
+	n.ChunkSize = 64
+	attachValidDocs(t, n, typing, []int{3, 3, 3})
+	root2 := typing[2].Starts[0]
+	good, bad := countryDoc(root2, 2, true), xmltree.MustParse(root2+"(nationalIndex(country))")
+	if ok, err := n.ValidateCentralized(); err != nil || !ok { // warm-up
+		t.Fatalf("warm-up: %v %v", ok, err)
+	}
+	start := runtime.NumGoroutine()
+	for i := 0; i < 200; i++ {
+		if ok, err := n.ValidateDistributed(); err != nil || !ok {
+			t.Fatalf("round %d distributed: %v %v", i, ok, err)
+		}
+		if ok, err := n.ValidateCentralized(); err != nil || !ok {
+			t.Fatalf("round %d centralized: %v %v", i, ok, err)
+		}
+		if ok, err := n.UpdatePeerCentralized("f2", bad); err != nil || ok {
+			t.Fatalf("round %d rejected edit: %v %v", i, ok, err)
+		}
+		if ok, err := n.UpdatePeerCentralized("f2", good); err != nil || !ok {
+			t.Fatalf("round %d admitted edit: %v %v", i, ok, err)
+		}
+	}
+	// A goroutine that has closed its last channel may not have exited
+	// yet; yield until the count settles, never past the deadline.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > start {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after 200 rounds, %d before", runtime.NumGoroutine(), start)
+		}
+		runtime.Gosched()
 	}
 }

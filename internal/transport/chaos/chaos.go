@@ -6,8 +6,8 @@
 //
 // The wrapper injects at the receiver-facing seam (Fragment.Next,
 // EditFeed.NextChunk/NextEdit, the session calls), which is what makes
-// it transport-agnostic: the same schedule perturbs the in-process
-// loopback and the TCP wire identically, and the differential chaos
+// it connection-agnostic: the same schedule perturbs an in-process
+// session and a TCP one identically, and the differential chaos
 // corpus can require both to converge to the fault-free run's verdict
 // and accounting or fail with a clean typed error — never a panic,
 // never a hang, never a wrong verdict.
@@ -37,8 +37,9 @@ const (
 	// FaultNone: deliver normally.
 	FaultNone Fault = iota
 	// FaultDrop: the connection dies — this operation and every later
-	// one on the session fails with ErrInjected, and a wrapped TCP
-	// session's socket is really closed (the host sees the disconnect).
+	// one on the session fails with ErrInjected, and the wrapped
+	// session's connection is really closed (the host sees the
+	// disconnect).
 	FaultDrop
 	// FaultDelay: the frame is delivered late.
 	FaultDelay
@@ -54,8 +55,8 @@ const (
 	// the at-least-once redelivery a reconnecting subscriber must
 	// tolerate, without the reconnect; on a fragment stream it is a
 	// retransmitted cumulative ack, which must never grant the sender
-	// extra credit (only fragments whose transport exposes ack
-	// duplication — TCP — offer this opportunity).
+	// extra credit (only fragments that expose ack duplication offer
+	// this opportunity).
 	FaultDuplicate
 )
 
@@ -176,8 +177,7 @@ func (s *Schedule) sleep() {
 
 // Session wraps a transport session with fault injection. It implements
 // transport.Session, and forwards live subscriptions (Subscribe /
-// Resubscribe) when the wrapped session supports them, so both
-// transports run under the same chaos.
+// Resubscribe) when the wrapped session supports them.
 type Session struct {
 	inner transport.Session
 	sched *Schedule
@@ -202,7 +202,7 @@ func (s *Session) alive() error {
 }
 
 // drop kills the session: later operations fail with ErrInjected, and
-// the wrapped session is closed for real — a TCP host observes the
+// the wrapped session is closed for real — the host observes the
 // disconnect exactly as it would a peer crash.
 func (s *Session) drop() error {
 	s.mu.Lock()
@@ -298,8 +298,8 @@ func (f *fragment) Size() int { return f.inner.Size() }
 func (f *fragment) Abort()    { f.inner.Abort() }
 
 // ackDuplicator is the optional seam a fragment exposes for replaying
-// its last cumulative ack on the wire — the TCP fragment implements it;
-// the in-process handoff has no acks to duplicate.
+// its last cumulative ack on the wire — transport.Conn's fragments
+// implement it.
 type ackDuplicator interface {
 	DuplicateAck() error
 }
@@ -313,7 +313,7 @@ type ackDuplicator interface {
 // construction, not a bug. Truncated payloads are injected on the live
 // snapshot path instead (NextChunk), where a decoder guards the result.
 // FaultDuplicate is drawn only when the inner fragment can express it
-// (an ack-carrying wire): the injected event is a retransmitted
+// (it carries acks): the injected event is a retransmitted
 // cumulative ack, which a credit-window sender must treat as a no-op.
 func (f *fragment) Next() ([]byte, error) {
 	if err := f.s.alive(); err != nil {

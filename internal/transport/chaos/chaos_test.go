@@ -17,8 +17,19 @@ func (s *fakeSrc) Verdict(ctx context.Context) bool  { return true }
 func (s *fakeSrc) Size() int                         { return len(s.blob) }
 func (s *fakeSrc) Serialize(w io.Writer) (err error) { _, err = w.Write(s.blob); return }
 
-func inproc() *transport.InProc {
-	return &transport.InProc{Sources: map[string]transport.Source{"f1": &fakeSrc{blob: make([]byte, 64)}}, Chunk: 16}
+// local opens an in-process session serving one 64-byte docking point,
+// closed when the test ends.
+func local(t *testing.T) *transport.Conn {
+	t.Helper()
+	digest := transport.Digest("chaos")
+	s, err := transport.Local(transport.HostConfig{Digest: digest,
+		Sources: map[string]transport.Source{"f1": &fakeSrc{blob: make([]byte, 64)}}},
+		transport.Config{Digest: digest, Chunk: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	return s
 }
 
 // TestScriptConsumesOnlyMatchingKinds: a scripted fault waits for an
@@ -89,7 +100,7 @@ func TestSeededBudgetBounds(t *testing.T) {
 // later call on the session with ErrInjected — one fault, one clean
 // persistent failure mode, no half-alive sessions.
 func TestDropIsSticky(t *testing.T) {
-	sess := Wrap(inproc(), Script(FaultDrop).SetDelay(0))
+	sess := Wrap(local(t), Script(FaultDrop).SetDelay(0))
 	if _, err := sess.Verdict(context.Background(), "f1"); !errors.Is(err, ErrInjected) {
 		t.Fatalf("scripted drop surfaced %v", err)
 	}
@@ -104,7 +115,7 @@ func TestDropIsSticky(t *testing.T) {
 // TestFaultFreePassThrough: an exhausted or never-firing schedule is
 // transparent — the wrapped session behaves exactly like the bare one.
 func TestFaultFreePassThrough(t *testing.T) {
-	sess := Wrap(inproc(), Script())
+	sess := Wrap(local(t), Script())
 	v, err := sess.Verdict(context.Background(), "f1")
 	if err != nil || !v {
 		t.Fatalf("pass-through verdict: %v %v", v, err)
@@ -132,7 +143,7 @@ func TestFaultFreePassThrough(t *testing.T) {
 // TestDelayDelivers: a delay fault slows a call down but the data
 // arrives intact.
 func TestDelayDelivers(t *testing.T) {
-	sess := Wrap(inproc(), Script(FaultDelay).SetDelay(30*time.Millisecond))
+	sess := Wrap(local(t), Script(FaultDelay).SetDelay(30*time.Millisecond))
 	start := time.Now()
 	v, err := sess.Verdict(context.Background(), "f1")
 	if err != nil || !v {

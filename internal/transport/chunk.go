@@ -1,43 +1,25 @@
 package transport
 
 // chunker chops an incremental serialization into fixed-budget chunks
-// and hands each to a blocking send callback — the transport-specific
-// delivery (a channel handoff in process, a credit-gated Chunk frame
-// over TCP). A ring of swap buffers makes the transfer
-// allocation-steady: while the receiver consumes up to depth-1 earlier
-// chunks, the sender fills the next ring slot. The TCP sender needs
-// only two slots (the socket write returns the buffer synchronously);
-// the in-process transport passes chunks by reference through a
-// buffered channel, so its ring is sized window+1 — one chunk held by
-// the receiver, window-1 queued, one being filled. Chunk boundaries
-// depend only on the budget, never on the transport or the ring depth,
-// which is what makes frame counts transport- and window-invariant.
+// and hands each to a blocking send callback — the host's credit-gated
+// chunk-frame write. The send copies the chunk onto the connection
+// before it returns, so one reused buffer makes the transfer
+// allocation-steady. Chunk boundaries depend only on the budget, which
+// is what makes frame counts window- and connection-invariant.
 type chunker struct {
 	send   func([]byte) error
 	budget int
-	buf    [][]byte
-	cur    int
-	sent   int
+	buf    []byte
 }
 
 func newChunker(budget int, send func([]byte) error) *chunker {
-	return newChunkerDepth(budget, 2, send)
-}
-
-// newChunkerDepth builds a chunker whose ring holds depth buffers;
-// depth below 2 is raised to 2 (a single buffer could be overwritten
-// while the receiver still reads it).
-func newChunkerDepth(budget, depth int, send func([]byte) error) *chunker {
-	if depth < 2 {
-		depth = 2
-	}
-	return &chunker{send: send, budget: budget, buf: make([][]byte, depth)}
+	return &chunker{send: send, budget: budget}
 }
 
 func (w *chunker) Write(p []byte) (int, error) {
 	total := len(p)
 	for len(p) > 0 {
-		space := w.budget - len(w.buf[w.cur])
+		space := w.budget - len(w.buf)
 		if space == 0 {
 			if err := w.flush(); err != nil {
 				return total - len(p), err
@@ -45,7 +27,7 @@ func (w *chunker) Write(p []byte) (int, error) {
 			continue
 		}
 		n := min(space, len(p))
-		w.buf[w.cur] = append(w.buf[w.cur], p[:n]...)
+		w.buf = append(w.buf, p[:n]...)
 		p = p[n:]
 	}
 	return total, nil
@@ -55,15 +37,12 @@ func (w *chunker) Write(p []byte) (int, error) {
 // blocks while the receiver's credits are exhausted — or fails, halting
 // the sender.
 func (w *chunker) flush() error {
-	chunk := w.buf[w.cur]
-	if len(chunk) == 0 {
+	if len(w.buf) == 0 {
 		return nil
 	}
-	if err := w.send(chunk); err != nil {
+	if err := w.send(w.buf); err != nil {
 		return err
 	}
-	w.sent += len(chunk)
-	w.cur = (w.cur + 1) % len(w.buf)
-	w.buf[w.cur] = w.buf[w.cur][:0]
+	w.buf = w.buf[:0]
 	return nil
 }

@@ -7,11 +7,13 @@ import (
 	"io"
 	"math"
 	"net"
+	"sync"
+	"time"
 
 	"dxml/internal/obs"
 )
 
-// The TCP wire speaks length-prefixed binary frames:
+// The wire speaks length-prefixed binary frames:
 //
 //	uint32 big-endian payload length | uint8 frame type | payload
 //
@@ -28,9 +30,11 @@ const (
 	// (the hello's window grant, its echo on begin/subscribed, and the
 	// ack frame's cumulative consumed-chunk count); v5 widened the hello
 	// with a trace ID, minted by the dialing peer so both processes'
-	// telemetry spans for one session carry the same ID. None is
+	// telemetry spans for one session carry the same ID; v6 added a
+	// refusal code to the stream error frame, so a per-stream admission
+	// refusal reaches the client typed like a refused hello. None is
 	// wire-compatible with its predecessor.
-	protocolVersion = 5
+	protocolVersion = 6
 
 	// maxFramePayload caps one frame's payload (type byte excluded).
 	// Chunked transfers stay far below it; it exists so unchunked
@@ -40,6 +44,11 @@ const (
 
 	// headerSize is the length prefix plus the type byte.
 	headerSize = 5
+
+	// minFrameBuf is the smallest scratch buffer a frame writer or
+	// reader allocates: every control frame fits, and a session that
+	// never carries a larger frame (a verdict round) never pays for one.
+	minFrameBuf = 512
 )
 
 // Credit-window bounds. The receiver grants the sender a per-stream
@@ -116,12 +125,12 @@ const (
 	// id, reason. The sender stops serializing immediately.
 	frameReject
 	// frameStreamErr (server→client) fails one stream without killing
-	// the session: stream id, reason.
+	// the session: stream id, RefuseCode (RefuseGeneric for a plain
+	// stream failure), reason.
 	frameStreamErr
 	// frameVerdictCancel (client→server) withdraws a verdict request
 	// whose round was short-circuited: request id. The host cancels the
-	// in-flight validation so remote peers stop mid-document, exactly
-	// as in-process peers do.
+	// in-flight validation so hosted peers stop mid-document.
 	frameVerdictCancel
 	// frameSubscribe (client→server) opens a live subscription on fn's
 	// edit log: stream id, fn. The host answers with frameSubscribed,
@@ -176,7 +185,7 @@ type frame struct {
 	size uint64   // announced fragment size (begin), snapshot size (subscribed)
 	ver  uint64   // edit-log version (subscribed/edit/editAck/verdictUpdate/resume); cumulative consumed-chunk count (ack); trace ID (hello)
 	win  uint32   // credit window: requested (hello), effective echo (begin/subscribed)
-	flag byte     // verdict (verdict/verdictUpdate), version (hello/welcome), op (edit), resumed (subscribed)
+	flag byte     // verdict (verdict/verdictUpdate), version (hello/welcome), op (edit), resumed (subscribed), refuse code (refuse/streamErr)
 	str  string   // fn (open/verdictReq/subscribe/resume), reason (reject/streamErr/error)
 	addr []uint64 // prefix address (edit); decoded fresh per frame
 	data []byte   // chunk payload (chunk), digest (hello/welcome), edit payload (edit)
@@ -198,10 +207,12 @@ func (t frameType) fixedLen() (int, error) {
 		return 1, nil // version
 	case frameError:
 		return 0, nil
-	case frameVerdictReq, frameOpen, frameEnd, frameReject, frameStreamErr, frameChunk, frameVerdictCancel, frameSubscribe, framePing, framePong:
+	case frameVerdictReq, frameOpen, frameEnd, frameReject, frameChunk, frameVerdictCancel, frameSubscribe, framePing, framePong:
 		return 4, nil // id
 	case frameVerdict:
 		return 5, nil // id + verdict
+	case frameStreamErr:
+		return 5, nil // id + refuse code
 	case frameRefuse:
 		return 1, nil // refuse code
 	case frameAck:
@@ -249,7 +260,7 @@ func (fw *frameWriter) write(f frame) error {
 	}
 	need := 4 + payload
 	if cap(fw.buf) < need {
-		fw.buf = make([]byte, 0, max(need, 4096))
+		fw.buf = make([]byte, 0, max(need, minFrameBuf))
 	}
 	b := fw.buf[:0]
 	b = binary.BigEndian.AppendUint32(b, uint32(payload))
@@ -262,7 +273,7 @@ func (fw *frameWriter) write(f frame) error {
 		b = binary.BigEndian.AppendUint64(b, f.ver)
 	case frameWelcome:
 		b = append(b, f.flag)
-	case frameVerdict:
+	case frameVerdict, frameStreamErr:
 		b = binary.BigEndian.AppendUint32(b, f.id)
 		b = append(b, f.flag)
 	case frameRefuse:
@@ -302,13 +313,11 @@ func (fw *frameWriter) write(f frame) error {
 	b = append(b, f.str...)
 	b = append(b, f.data...)
 	fw.buf = b
-	if _, err = fw.w.Write(b); err != nil {
-		return err
-	}
 	if fw.tap != nil {
 		fw.tap.TapFrame(TapOut, fw.sess, b, nil)
 	}
-	return nil
+	_, err = fw.w.Write(b)
+	return err
 }
 
 // writeChunk writes one chunk frame with a vectored write: the 9-byte
@@ -325,49 +334,105 @@ func (fw *frameWriter) writeChunk(id uint32, data []byte) error {
 	binary.BigEndian.PutUint32(fw.hdr[0:4], uint32(1+4+len(data)))
 	fw.hdr[4] = byte(frameChunk)
 	binary.BigEndian.PutUint32(fw.hdr[5:9], id)
+	if fw.tap != nil {
+		fw.tap.TapFrame(TapOut, fw.sess, fw.hdr[:], data)
+	}
 	if len(data) == 0 {
-		if _, err := fw.w.Write(fw.hdr[:]); err != nil {
-			return err
-		}
-		if fw.tap != nil {
-			fw.tap.TapFrame(TapOut, fw.sess, fw.hdr[:], nil)
-		}
-		return nil
+		_, err := fw.w.Write(fw.hdr[:])
+		return err
 	}
 	fw.vec[0], fw.vec[1] = fw.hdr[:], data
 	fw.bufs = net.Buffers(fw.vec[:])
 	_, err := fw.bufs.WriteTo(fw.w)
 	fw.vec[0], fw.vec[1] = nil, nil // do not pin the payload past the write
 	fw.bufs = nil
-	if err != nil {
-		return err
+	return err
+}
+
+// endpoint is one side of a session's connection. Frame writes are
+// serialized under a lock, and with a liveness window every read and
+// write carries a deadline: a peer that stops draining fails the write
+// in bounded time instead of parking the writer forever.
+type endpoint struct {
+	c       net.Conn
+	wmu     sync.Mutex
+	fw      frameWriter
+	timeout time.Duration  // liveness window (0: no deadlines)
+	obs     *obs.Collector // telemetry sink (nil: no-op)
+}
+
+// send writes one frame.
+func (e *endpoint) send(f frame) error {
+	e.wmu.Lock()
+	defer e.wmu.Unlock()
+	e.armWriteDeadline()
+	start := e.obs.Nanos()
+	if err := e.fw.write(f); err != nil {
+		return e.writeErr(err)
 	}
-	if fw.tap != nil {
-		fw.tap.TapFrame(TapOut, fw.sess, fw.hdr[:], data)
-	}
+	e.obs.Observe(obs.HFrameEncodeNs, e.obs.Nanos()-start)
+	e.obs.Add(obs.CFramesEncoded, 1)
 	return nil
+}
+
+// sendChunk writes one chunk frame through the vectored header+payload
+// path: the payload reaches the connection without an intermediate
+// copy.
+func (e *endpoint) sendChunk(id uint32, chunk []byte) error {
+	e.wmu.Lock()
+	defer e.wmu.Unlock()
+	e.armWriteDeadline()
+	return e.writeErr(e.fw.writeChunk(id, chunk))
+}
+
+func (e *endpoint) armWriteDeadline() {
+	if e.timeout > 0 {
+		e.c.SetWriteDeadline(time.Now().Add(e.timeout))
+	}
+}
+
+// armReadDeadline extends the liveness window by one timeout: the next
+// frame (any frame — a pong counts) must arrive within it.
+func (e *endpoint) armReadDeadline() {
+	if e.timeout > 0 {
+		e.c.SetReadDeadline(time.Now().Add(e.timeout))
+	}
+}
+
+// writeErr types a missed write deadline.
+func (e *endpoint) writeErr(err error) error {
+	if isTimeout(err) {
+		return &TimeoutError{Op: "write", After: e.timeout}
+	}
+	return err
 }
 
 // frameReader decodes frames from one stream. The payload buffer is
 // reused: a decoded frame's str/data alias it and are valid until the
 // next read — the same lifetime contract Fragment.Next exposes.
 type frameReader struct {
-	r    *bufio.Reader
+	r    io.Reader
+	hdr  [headerSize]byte // a field, not a local: a local would escape into r.Read
 	buf  []byte
 	obs  *obs.Collector // decode timing sink (nil: no-op)
 	tap  Tap            // flight-recorder seam (nil: no-op)
 	sess uint64         // session trace ID tagged onto tapped frames
 }
 
+// newFrameReader reads through a buffer, unless r is an in-memory pipe
+// end — already a buffer, which a second one would only copy from.
 func newFrameReader(r io.Reader) *frameReader {
-	return &frameReader{r: bufio.NewReaderSize(r, 32<<10)}
+	if _, ok := r.(*pipeConn); !ok {
+		r = bufio.NewReaderSize(r, 32<<10)
+	}
+	return &frameReader{r: r}
 }
 
 // read decodes the next frame. Truncated input yields io.ErrUnexpectedEOF
 // (clean EOF between frames yields io.EOF); oversized or malformed
 // frames yield a descriptive error. It never panics on garbage.
 func (fr *frameReader) read() (frame, error) {
-	var hdr [headerSize]byte
+	hdr := fr.hdr[:]
 	if _, err := io.ReadFull(fr.r, hdr[:4]); err != nil {
 		if err == io.ErrUnexpectedEOF {
 			return frame{}, fmt.Errorf("transport: truncated frame header: %w", err)
@@ -400,7 +465,7 @@ func (fr *frameReader) read() (frame, error) {
 		return frame{}, codecErrf("transport: %d-byte payload too short for frame type %d", rest, f.typ)
 	}
 	if cap(fr.buf) < rest {
-		fr.buf = make([]byte, 0, max(rest, 4096))
+		fr.buf = make([]byte, 0, max(rest, minFrameBuf))
 	}
 	p := fr.buf[:rest]
 	fr.buf = p
@@ -490,8 +555,12 @@ func (fr *frameReader) read() (frame, error) {
 			}
 		}
 		f.data = tail[8*n:]
-	case frameReject, frameStreamErr:
+	case frameReject:
 		f.id = binary.BigEndian.Uint32(p[0:4])
+		f.str = string(tail)
+	case frameStreamErr:
+		f.id = binary.BigEndian.Uint32(p[0:4])
+		f.flag = p[4]
 		f.str = string(tail)
 	}
 	if fr.tap != nil {

@@ -48,7 +48,9 @@ type Route struct {
 // mirrors the protocol-level Stats the kernel peer keeps (verdicts and
 // fragment envelopes cost len(fn)+1, chunks cost their payload), so a
 // tenant's counters and a client's Stats agree on fully delivered
-// traffic.
+// traffic. A verdict, an edit and a fragment's end are accounted just
+// before their frame is written, so a client that has seen the frame
+// reads counters that include it.
 type Gate interface {
 	// OpenStream is called before a fragment or subscription stream is
 	// served; a non-nil error refuses the stream (a stream error frame,
@@ -62,7 +64,7 @@ type Gate interface {
 	// snapshot).
 	ChunkShipped(bytes int)
 	// FragmentDelivered records one fully delivered fragment (its End
-	// frame was sent).
+	// frame is about to be sent).
 	FragmentDelivered(fn string)
 	// EditShipped records one edit frame's wire size.
 	EditShipped(bytes int)
@@ -132,8 +134,9 @@ func (cfg *HostConfig) route(digest []byte) (Route, error) {
 
 // Host serves a set of resource peers over TCP: it accepts sessions
 // from kernel peers and answers their verdict requests and fragment
-// streams. One host may serve any subset of a federation's docking
-// points; a kernel peer federates several hosts with Multi.
+// streams (its serving loop also runs in-process sessions; see Local).
+// One host may serve any subset of a federation's docking points; a
+// kernel peer federates several hosts with Multi.
 type Host struct {
 	ln     net.Listener
 	cfg    HostConfig
@@ -211,10 +214,12 @@ func (h *Host) acceptLoop() {
 // channel, a duplicated ack (same cumulative count) grants nothing.
 // Edit delivery stays stop-and-wait on its own token channel.
 type hostStream struct {
-	acked   atomic.Uint64
-	ackCh   chan struct{}
-	editAck chan struct{}
-	cancel  context.CancelFunc
+	acked    atomic.Uint64
+	ackCh    chan struct{}
+	editAck  chan struct{}
+	cancel   context.CancelFunc
+	fn       string
+	released atomic.Bool // the stream's admission slot was returned
 
 	// sendNs, allocated only when the host is instrumented, is a ring of
 	// send timestamps (collector nanos) indexed by chunk ordinal % win.
@@ -233,55 +238,32 @@ type hostStream struct {
 	sentBytes  int64
 }
 
-func newHostStream(cancel context.CancelFunc) *hostStream {
-	return &hostStream{ackCh: make(chan struct{}, 1), editAck: make(chan struct{}, 1), cancel: cancel}
+func newHostStream(fn string, cancel context.CancelFunc) *hostStream {
+	return &hostStream{ackCh: make(chan struct{}, 1), editAck: make(chan struct{}, 1), cancel: cancel, fn: fn}
+}
+
+// release returns the stream's admission slot, once. It runs before the
+// stream's End or error frame is written, and in the read loop when the
+// client rejects the stream — so a client that opens its next stream
+// after seeing either finds the slot already free.
+func (st *hostStream) release(s *session) {
+	if st.released.CompareAndSwap(false, true) {
+		s.releaseStream(st.fn)
+	}
 }
 
 // session is one kernel peer's connection.
 type session struct {
-	host    *Host
-	c       net.Conn
-	wmu     sync.Mutex
-	fw      frameWriter
-	timeout time.Duration // liveness window (0: no deadlines)
+	endpoint
 	sources map[string]Source
-	gate    Gate           // nil: ungated
-	obs     *obs.Collector // telemetry sink (nil: no-op)
-	trace   uint64         // trace ID from the client's hello
+	gate    Gate   // nil: ungated
+	trace   uint64 // trace ID from the client's hello
 
 	mu       sync.Mutex
 	streams  map[uint32]*hostStream
 	verdicts map[uint32]context.CancelFunc
 	lives    map[uint32]LiveFeedSrc // open subscriptions, for verdict-update routing
 	wg       sync.WaitGroup
-}
-
-// send writes one frame under the write lock, with the liveness
-// deadline armed: a client that stops draining its socket fails the
-// write in bounded time instead of parking a stream goroutine forever.
-func (s *session) send(f frame) error {
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
-	if s.timeout > 0 {
-		s.c.SetWriteDeadline(time.Now().Add(s.timeout))
-	}
-	start := s.obs.Nanos()
-	if err := s.fw.write(f); err != nil {
-		if isTimeout(err) {
-			return &TimeoutError{Op: "write", After: s.timeout}
-		}
-		return err
-	}
-	s.obs.Observe(obs.HFrameEncodeNs, s.obs.Nanos()-start)
-	s.obs.Add(obs.CFramesEncoded, 1)
-	return nil
-}
-
-// armReadDeadline extends the session's liveness window by one timeout.
-func (s *session) armReadDeadline() {
-	if s.timeout > 0 {
-		s.c.SetReadDeadline(time.Now().Add(s.timeout))
-	}
 }
 
 // reportErr surfaces one session's abnormal death to the host's
@@ -301,10 +283,11 @@ func (h *Host) reportErr(err error) {
 
 func (h *Host) serveSession(c net.Conn) {
 	defer c.Close()
-	s := &session{host: h, c: c, fw: frameWriter{w: c},
-		timeout: resolveLiveness(h.cfg.Timeout, DefaultTimeout),
+	s := &session{
+		endpoint: endpoint{c: c, fw: frameWriter{w: c},
+			timeout: resolveLiveness(h.cfg.Timeout, DefaultTimeout), obs: h.cfg.Obs},
 		streams: map[uint32]*hostStream{}, verdicts: map[uint32]context.CancelFunc{},
-		lives: map[uint32]LiveFeedSrc{}, obs: h.cfg.Obs}
+		lives: map[uint32]LiveFeedSrc{}}
 	s.fw.tap = h.cfg.Tap
 	fr := newFrameReader(c)
 	fr.obs = h.cfg.Obs
@@ -408,10 +391,13 @@ func (h *Host) serveSession(c net.Conn) {
 				delete(s.verdicts, id)
 				s.mu.Unlock()
 				vcancel()
-				if !canceled && s.send(frame{typ: frameVerdict, id: id, flag: v}) == nil {
-					if s.gate != nil {
-						s.gate.VerdictServed(fn)
-					}
+				if canceled {
+					return
+				}
+				if s.gate != nil {
+					s.gate.VerdictServed(fn)
+				}
+				if s.send(frame{typ: frameVerdict, id: id, flag: v}) == nil {
 					s.obs.Span(obs.Span{Trace: s.trace, Name: "verdict", Frag: fn, Start: start, End: spanClock(s.obs)})
 				}
 			}(f.id, f.str)
@@ -432,11 +418,11 @@ func (h *Host) serveSession(c net.Conn) {
 				continue
 			}
 			if err := s.admitStream(f.str); err != nil {
-				s.send(frame{typ: frameStreamErr, id: f.id, str: err.Error()})
+				s.refuseStream(f.id, err)
 				continue
 			}
 			sctx, scancel := context.WithCancel(ctx)
-			st := newHostStream(scancel)
+			st := newHostStream(f.str, scancel)
 			s.mu.Lock()
 			s.streams[f.id] = st
 			s.mu.Unlock()
@@ -450,48 +436,21 @@ func (h *Host) serveSession(c net.Conn) {
 				continue
 			}
 			if err := s.admitStream(f.str); err != nil {
-				s.send(frame{typ: frameStreamErr, id: f.id, str: err.Error()})
-				continue
-			}
-			var lf LiveFeedSrc
-			var resumed bool
-			var err error
-			if f.typ == frameResume {
-				rs, ok := src.(ResumableSource)
-				if !ok {
-					s.releaseStream(f.str)
-					s.send(frame{typ: frameStreamErr, id: f.id, str: "docking point does not support resumed subscriptions: " + f.str})
-					continue
-				}
-				sctx, scancel := context.WithCancel(ctx)
-				lf, resumed, err = rs.OpenLiveSince(sctx, f.ver)
-				if err != nil {
-					scancel()
-					s.releaseStream(f.str)
-					s.send(frame{typ: frameStreamErr, id: f.id, str: err.Error()})
-					continue
-				}
-				if s.gate != nil {
-					s.gate.Resumed(f.str)
-				}
-				s.startLive(sctx, scancel, f.id, lf, budget, win, resumed, f.str)
-				continue
-			}
-			ls, ok := src.(LiveSource)
-			if !ok {
-				s.releaseStream(f.str)
-				s.send(frame{typ: frameStreamErr, id: f.id, str: "docking point is not live: " + f.str})
+				s.refuseStream(f.id, err)
 				continue
 			}
 			sctx, scancel := context.WithCancel(ctx)
-			lf, err = ls.OpenLive(sctx)
+			lf, resumed, err := openFeed(sctx, src, f)
 			if err != nil {
 				scancel()
 				s.releaseStream(f.str)
 				s.send(frame{typ: frameStreamErr, id: f.id, str: err.Error()})
 				continue
 			}
-			s.startLive(sctx, scancel, f.id, lf, budget, win, false, f.str)
+			if f.typ == frameResume && s.gate != nil {
+				s.gate.Resumed(f.str)
+			}
+			s.startLive(sctx, scancel, f.id, lf, budget, win, resumed, f.str)
 
 		case frameAck:
 			s.mu.Lock()
@@ -547,6 +506,7 @@ func (h *Host) serveSession(c net.Conn) {
 			s.mu.Unlock()
 			if st != nil {
 				st.cancel() // halt the sender mid-serialization
+				st.release(s)
 			}
 
 		default:
@@ -570,6 +530,18 @@ func (s *session) admitStream(fn string) error {
 	return s.gate.OpenStream(fn)
 }
 
+// refuseStream answers an open or subscription the gate refused. A
+// *RefusedError keeps its code on the wire, so the client's error
+// unwraps to ErrOverCapacity exactly as a refused hello does.
+func (s *session) refuseStream(id uint32, err error) {
+	f := frame{typ: frameStreamErr, id: id, str: err.Error()}
+	var ref *RefusedError
+	if errors.As(err, &ref) {
+		f.flag, f.str = byte(ref.Code), ref.Reason
+	}
+	s.send(f)
+}
+
 // releaseStream undoes an admitStream whose stream never started (or
 // just ended).
 func (s *session) releaseStream(fn string) {
@@ -588,7 +560,7 @@ func (s *session) releaseStream(fn string) {
 func (s *session) serveStream(sctx context.Context, id uint32, st *hostStream, src Source, budget, win int, fn string) {
 	defer s.wg.Done()
 	defer st.cancel()
-	defer s.releaseStream(fn)
+	defer st.release(s)
 	openStart := spanClock(s.obs)
 	size := src.Size()
 	if err := s.send(frame{typ: frameBegin, id: id, size: uint64(size), win: uint32(win)}); err != nil {
@@ -606,11 +578,13 @@ func (s *session) serveStream(sctx context.Context, id uint32, st *hostStream, s
 	s.mu.Unlock()
 	span := obs.Span{Trace: s.trace, Name: "chunks", Frag: fn,
 		Start: chunksStart, Bytes: st.sentBytes, N: int64(st.sentChunks)}
+	st.release(s)
 	switch {
 	case err == nil:
-		if s.send(frame{typ: frameEnd, id: id}) == nil && s.gate != nil {
+		if s.gate != nil {
 			s.gate.FragmentDelivered(fn)
 		}
+		s.send(frame{typ: frameEnd, id: id})
 	case sctx.Err() != nil:
 		// Rejected or torn down: the receiver is not listening.
 		span.Err = "rejected"
@@ -625,8 +599,8 @@ func (s *session) serveStream(sctx context.Context, id uint32, st *hostStream, s
 // creditedSend builds the chunker's send callback for a credit-windowed
 // stream: park while the window is exhausted (sent − acked ≥ win), then
 // ship the chunk with a vectored header+payload write. The chunk buffer
-// is reused the moment the socket write returns, which is why the
-// chunker's two-slot ring suffices on TCP.
+// is reused the moment the write returns, which is why the chunker
+// needs only one.
 func (s *session) creditedSend(sctx context.Context, id uint32, st *hostStream, win int) func([]byte) error {
 	var sent uint64
 	if s.obs != nil {
@@ -680,28 +654,29 @@ func (s *session) creditedSend(sctx context.Context, id uint32, st *hostStream, 
 	}
 }
 
-// sendChunk writes one chunk frame under the write lock with the
-// liveness deadline armed, using the vectored header+payload path — the
-// payload goes to the socket without an intermediate copy.
-func (s *session) sendChunk(id uint32, chunk []byte) error {
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
-	if s.timeout > 0 {
-		s.c.SetWriteDeadline(time.Now().Add(s.timeout))
-	}
-	if err := s.fw.writeChunk(id, chunk); err != nil {
-		if isTimeout(err) {
-			return &TimeoutError{Op: "write", After: s.timeout}
+// openFeed opens the live feed a subscribe or resume frame asks of src:
+// a fresh cut, or a continuation from the frame's version (resumed
+// reports a suffix resume rather than a snapshot fallback).
+func openFeed(ctx context.Context, src Source, f frame) (lf LiveFeedSrc, resumed bool, err error) {
+	if f.typ == frameResume {
+		rs, ok := src.(ResumableSource)
+		if !ok {
+			return nil, false, errors.New("docking point does not support resumed subscriptions: " + f.str)
 		}
-		return err
+		return rs.OpenLiveSince(ctx, f.ver)
 	}
-	return nil
+	ls, ok := src.(LiveSource)
+	if !ok {
+		return nil, false, errors.New("docking point is not live: " + f.str)
+	}
+	lf, err = ls.OpenLive(ctx)
+	return lf, false, err
 }
 
 // startLive registers a subscription's stream bookkeeping and launches
 // its sender goroutine.
 func (s *session) startLive(sctx context.Context, scancel context.CancelFunc, id uint32, lf LiveFeedSrc, budget, win int, resumed bool, fn string) {
-	st := newHostStream(scancel)
+	st := newHostStream(fn, scancel)
 	s.mu.Lock()
 	s.streams[id] = st
 	s.lives[id] = lf
@@ -723,7 +698,7 @@ func (s *session) startLive(sctx context.Context, scancel context.CancelFunc, id
 func (s *session) serveLive(sctx context.Context, id uint32, st *hostStream, lf LiveFeedSrc, budget, win int, resumed bool, fn string) {
 	defer s.wg.Done()
 	defer st.cancel()
-	defer s.releaseStream(fn)
+	defer st.release(s)
 	defer func() {
 		s.mu.Lock()
 		delete(s.streams, id)
@@ -745,6 +720,7 @@ func (s *session) serveLive(sctx context.Context, id uint32, st *hostStream, lf 
 	}
 	if err != nil {
 		if sctx.Err() == nil {
+			st.release(s)
 			s.send(frame{typ: frameStreamErr, id: id, str: err.Error()})
 		}
 		return
@@ -757,16 +733,17 @@ func (s *session) serveLive(sctx context.Context, id uint32, st *hostStream, lf 
 		e, err := lf.NextEdit(sctx, pos)
 		if err != nil {
 			if sctx.Err() == nil {
+				st.release(s)
 				s.send(frame{typ: frameStreamErr, id: id, str: err.Error()})
 			}
 			return
 		}
 		pos = e.Version
-		if err := s.send(frame{typ: frameEdit, id: id, ver: e.Version, flag: e.Op, addr: e.Addr, data: e.Doc}); err != nil {
-			return
-		}
 		if s.gate != nil {
 			s.gate.EditShipped(e.WireSize())
+		}
+		if err := s.send(frame{typ: frameEdit, id: id, ver: e.Version, flag: e.Op, addr: e.Addr, data: e.Doc}); err != nil {
+			return
 		}
 		select {
 		case <-st.editAck:

@@ -7,8 +7,7 @@ import (
 )
 
 // This file is the live half of the wire: a kernel peer *subscribes* to
-// a docking point's edit log and receives, over either transport, an
-// atomic cut of the peer's state — a keyed snapshot of the fragment at
+// a docking point's edit log and receives an atomic cut of the peer's state — a keyed snapshot of the fragment at
 // some version (credit-windowed like any fragment transfer), then every
 // edit after that version, in order, with stop-and-wait backpressure —
 // and reports its global verdict back after each applied edit. The
@@ -19,7 +18,7 @@ import (
 // EditFrame is one edit of a fragment's log in wire form: the dense
 // version it produces, the operation (the live package's Op values),
 // the edited node's prefix address, and the serialized payload subtree
-// (empty for deletes). The transports move EditFrames without
+// (empty for deletes). The transport moves EditFrames without
 // interpreting them.
 type EditFrame struct {
 	Version uint64
@@ -29,9 +28,9 @@ type EditFrame struct {
 }
 
 // WireSize is the edit's frame payload size on the binary wire (type
-// byte included). Both transports account edits with it, which is what
-// keeps live traffic stats transport-invariant: O(‖edit‖ + depth) —
-// the payload plus one address component per ancestor.
+// byte included). Host and kernel peer account edits with it, so their
+// live traffic counters agree: O(‖edit‖ + depth) — the payload plus one
+// address component per ancestor.
 func (e EditFrame) WireSize() int {
 	return 16 + 8*len(e.Addr) + len(e.Doc)
 }
@@ -66,8 +65,8 @@ type LiveFeedSrc interface {
 	Close()
 }
 
-// LiveSession is a Session that supports live subscriptions. Both
-// transports implement it; a kernel peer type-asserts.
+// LiveSession is a Session that supports live subscriptions. Conn
+// implements it; a kernel peer type-asserts.
 type LiveSession interface {
 	Session
 	Subscribe(ctx context.Context, fn string) (EditFeed, error)
@@ -75,7 +74,7 @@ type LiveSession interface {
 
 // ResumableSession is a LiveSession whose subscriptions survive a
 // disconnect: Resubscribe reopens fn's feed from the last edit version
-// this peer applied. Both transports implement it.
+// this peer applied. Conn implements it.
 type ResumableSession interface {
 	LiveSession
 	// Resubscribe reopens a subscription. When the source's log still
@@ -155,109 +154,4 @@ func (m Multi) Resubscribe(ctx context.Context, fn string, after uint64) (EditFe
 		return nil, fmt.Errorf("transport: session for %s does not support resumed subscriptions", fn)
 	}
 	return rs.Resubscribe(ctx, fn, after)
-}
-
-// Subscribe opens an in-process subscription: the snapshot is chunked
-// through the same budget and credit window as fragment transfers, and
-// edits are pulled straight from the source's log.
-func (s *InProc) Subscribe(ctx context.Context, fn string) (EditFeed, error) {
-	src, err := s.source(fn)
-	if err != nil {
-		return nil, err
-	}
-	ls, ok := src.(LiveSource)
-	if !ok {
-		return nil, fmt.Errorf("transport: docking point %s is not live (no editor attached)", fn)
-	}
-	lf, err := ls.OpenLive(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return s.feedOver(ctx, lf, false), nil
-}
-
-// Resubscribe reopens a subscription from the last applied version,
-// exactly mirroring the TCP resume handshake: a suffix replay when the
-// source's log still covers it, a fresh full cut otherwise.
-func (s *InProc) Resubscribe(ctx context.Context, fn string, after uint64) (EditFeed, error) {
-	src, err := s.source(fn)
-	if err != nil {
-		return nil, err
-	}
-	rs, ok := src.(ResumableSource)
-	if !ok {
-		return nil, fmt.Errorf("transport: docking point %s does not support resumed subscriptions", fn)
-	}
-	lf, resumed, err := rs.OpenLiveSince(ctx, after)
-	if err != nil {
-		return nil, err
-	}
-	return s.feedOver(ctx, lf, resumed), nil
-}
-
-// feedOver wraps a source feed in the in-process chunk handoff, with
-// the same credit window as fragment transfers (channel buffered to
-// window-1, ring of window+1 chunk buffers). Resumed feeds have an
-// empty snapshot, so their chunk channel closes at once.
-func (s *InProc) feedOver(ctx context.Context, lf LiveFeedSrc, resumed bool) EditFeed {
-	win := s.window()
-	fctx, cancel := context.WithCancel(ctx)
-	ch := make(chan []byte, win-1)
-	go func() {
-		defer close(ch)
-		w := newChunkerDepth(s.Chunk, win+1, func(chunk []byte) error {
-			select {
-			case ch <- chunk:
-				return nil
-			case <-fctx.Done():
-				return fctx.Err()
-			}
-		})
-		if lf.Serialize(w) == nil {
-			w.flush()
-		}
-	}()
-	return &inprocEditFeed{lf: lf, cancel: cancel, ch: ch, base: lf.Version(), size: lf.Size(), pos: lf.Version(), resumed: resumed}
-}
-
-type inprocEditFeed struct {
-	lf      LiveFeedSrc
-	cancel  context.CancelFunc
-	ch      <-chan []byte
-	base    uint64
-	size    int
-	pos     uint64
-	resumed bool
-}
-
-func (f *inprocEditFeed) Base() uint64      { return f.base }
-func (f *inprocEditFeed) SnapshotSize() int { return f.size }
-func (f *inprocEditFeed) Resumed() bool     { return f.resumed }
-
-func (f *inprocEditFeed) NextChunk() ([]byte, error) {
-	chunk, ok := <-f.ch
-	if !ok {
-		return nil, io.EOF
-	}
-	return chunk, nil
-}
-
-func (f *inprocEditFeed) NextEdit(ctx context.Context) (EditFrame, error) {
-	e, err := f.lf.NextEdit(ctx, f.pos)
-	if err != nil {
-		return EditFrame{}, err
-	}
-	f.pos = e.Version
-	return e, nil
-}
-
-func (f *inprocEditFeed) SendVerdict(version uint64, valid bool) error {
-	f.lf.NoteVerdict(version, valid)
-	return nil
-}
-
-func (f *inprocEditFeed) Close() error {
-	f.cancel()
-	f.lf.Close()
-	return nil
 }

@@ -216,7 +216,7 @@ func TestSubscribeConformance(t *testing.T) {
 	// same map, so swap the shared pointer per subtest).
 	t.Run("inproc", func(t *testing.T) {
 		currentLiveSource = newFakeLive(snapshot, 7)
-		run(t, &InProc{Sources: map[string]Source{"f1": currentLiveSource}, Chunk: 64})
+		run(t, local(t, map[string]Source{"f1": currentLiveSource}, Config{Chunk: 64}))
 	})
 	t.Run("tcp", func(t *testing.T) {
 		currentLiveSource = newFakeLive(snapshot, 7)
@@ -245,7 +245,7 @@ func eachTCP(t *testing.T, sources map[string]Source, chunk int, run func(t *tes
 }
 
 // TestSubscribeNotLive: subscribing to a docking point without an
-// editor fails cleanly on both transports.
+// editor fails cleanly on both connections.
 func TestSubscribeNotLive(t *testing.T) {
 	sources := map[string]Source{"f1": &fakeSource{blob: blob(10), verdict: true}}
 	eachTransport(t, sources, 16, func(t *testing.T, s Session) {

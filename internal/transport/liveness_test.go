@@ -166,7 +166,7 @@ func TestResumeConformance(t *testing.T) {
 	}
 	t.Run("inproc", func(t *testing.T) {
 		currentLiveSource = newFakeLive(snapshot, 7)
-		run(t, &InProc{Sources: map[string]Source{"f1": currentLiveSource}, Chunk: 64})
+		run(t, local(t, map[string]Source{"f1": currentLiveSource}, Config{Chunk: 64}))
 	})
 	t.Run("tcp", func(t *testing.T) {
 		currentLiveSource = newFakeLive(snapshot, 7)

@@ -23,9 +23,10 @@ func (d TapDir) String() string {
 }
 
 // Tap observes every frame a session encodes or decodes, as raw wire
-// bytes. It is the flight-recorder seam: a nil tap costs the hot paths
-// one nil check and nothing else — the same discipline as a nil
-// obs.Collector.
+// bytes. An outgoing frame is tapped once encoded, before its write, so
+// a tap never lags what the peer can already have seen. It is the
+// flight-recorder seam: a nil tap costs the hot paths one nil check and
+// nothing else — the same discipline as a nil obs.Collector.
 //
 // head and tail together are the exact bytes on the wire (tail is
 // non-empty only when the frame was assembled or decoded in two parts:

@@ -137,18 +137,15 @@ func TestTapTCPBothDirections(t *testing.T) {
 	}
 }
 
-// TestTapInProc pins the in-process transport's synthesized frames: the
-// loopback session fabricates the same wire the TCP transport would
-// carry, so a flight recording of an InProc federation decodes with the
-// same tooling.
-func TestTapInProc(t *testing.T) {
+// TestTapLocal pins what an in-process session records: the real
+// frames the in-memory connection carried, in the kernel peer's view —
+// the hello exchange, the verdict round trip, and the fragment stream
+// with the cumulative acks that replenish its credit — all under the
+// session's trace ID, so a recording decodes like a TCP capture.
+func TestTapLocal(t *testing.T) {
 	doc := blob(300)
 	tap := &memTap{}
-	s := &InProc{
-		Sources: map[string]Source{"f1": &fakeSource{blob: doc, verdict: true}},
-		Chunk:   128,
-		Tap:     tap,
-	}
+	s := local(t, map[string]Source{"f1": &fakeSource{blob: doc, verdict: true}}, Config{Chunk: 128, Tap: tap})
 	if ok, err := s.Verdict(context.Background(), "f1"); err != nil || !ok {
 		t.Fatalf("Verdict = %v, %v", ok, err)
 	}
@@ -164,21 +161,31 @@ func TestTapInProc(t *testing.T) {
 		}
 	}
 	types := tap.types(t)
-	if !hasSeq(types, "out:verdict_req", "in:verdict", "out:open", "in:begin", "in:chunk", "in:end") {
-		t.Fatalf("inproc tap = %v", types)
+	// The host may send End before any ack arrives (the window covers
+	// all three chunks), so acks are pinned separately from the stream.
+	if !hasSeq(types, "out:hello", "in:welcome", "out:verdict_req", "in:verdict", "out:open", "in:begin", "in:chunk", "in:end") ||
+		!hasSeq(types, "in:chunk", "out:ack") {
+		t.Fatalf("local tap = %v", types)
 	}
 	var rebuilt []byte
+	var acked []uint64
 	for _, f := range tap.snapshot() {
 		info, _ := DecodeFrame(f.wire)
-		if info.Type == "chunk" {
+		switch info.Type {
+		case "chunk":
 			rebuilt = append(rebuilt, info.Data...)
+		case "ack":
+			acked = append(acked, info.Ver)
 		}
-		if f.sess == 0 {
-			t.Fatal("inproc tap minted no session ID")
+		if f.sess != s.TraceID() {
+			t.Fatalf("frame tapped under session %#x, want %#x", f.sess, s.TraceID())
 		}
 	}
 	if !bytes.Equal(rebuilt, doc) {
 		t.Fatalf("tapped chunks rebuild %d bytes, want %d", len(rebuilt), len(doc))
+	}
+	if len(acked) != 3 || acked[0] != 1 || acked[1] != 2 || acked[2] != 3 {
+		t.Fatalf("cumulative acks = %v, want [1 2 3]", acked)
 	}
 }
 
@@ -195,6 +202,8 @@ func TestDecodeFrameRoundTrip(t *testing.T) {
 		{typ: frameAck, id: 3, ver: 12},
 		{typ: frameEnd, id: 3},
 		{typ: frameReject, id: 3, str: "no thanks"},
+		{typ: frameStreamErr, id: 4, str: "no such docking point"},
+		{typ: frameStreamErr, id: 5, flag: uint8(RefuseOverCapacity), str: "cap reached"},
 		{typ: frameRefuse, flag: uint8(RefuseOverCapacity), str: "full"},
 	}
 	for _, f := range frames {

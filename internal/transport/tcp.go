@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -36,7 +37,7 @@ func resolveLiveness(d, def time.Duration) time.Duration {
 	return d
 }
 
-// Config parameterizes a TCP session from the kernel peer's side.
+// Config parameterizes a session from the kernel peer's side.
 type Config struct {
 	// Digest is the design fingerprint exchanged in the hello; the
 	// server refuses a mismatch. See Digest.
@@ -74,16 +75,14 @@ type Config struct {
 	Tap Tap
 }
 
-// Conn is an established TCP session with one peer host, from the
-// kernel peer's side. It multiplexes concurrent verdict requests and
-// fragment streams over a single socket; methods are safe for
-// concurrent use.
+// Conn is an established session with one peer host, from the kernel
+// peer's side, over a TCP socket (Dial) or an in-memory connection
+// (Local). It multiplexes concurrent verdict requests and fragment
+// streams over the one connection; methods are safe for concurrent use.
+// It is the package's only Session implementation.
 type Conn struct {
-	c   net.Conn
-	wmu sync.Mutex // serializes frame writes
-	fw  frameWriter
+	endpoint
 
-	timeout   time.Duration // liveness window (0: no deadlines)
 	heartbeat time.Duration // ping-after-idle interval (0: no pings)
 	lastWrite atomic.Int64  // UnixNano of the most recent frame write
 	pingID    atomic.Uint32
@@ -91,57 +90,71 @@ type Conn struct {
 	window  int       // credit window granted per stream (chunks)
 	bufPool sync.Pool // *[]byte chunk/edit payload buffers, reused across frames
 
-	obs   *obs.Collector // telemetry sink (nil: no-op)
-	trace uint64         // trace ID minted at the hello, shared with the host
+	trace uint64 // trace ID minted at the hello, shared with the host
 
 	nextID  atomic.Uint32
-	mu      sync.Mutex // guards pending and doneErr
-	pending map[uint32]*waiter
+	mu      sync.Mutex               // guards pending and doneErr
+	pending map[uint32]chan dispatch // each request's or stream's dispatch slot
 
 	done    chan struct{} // closed when the read loop exits
 	doneErr error         // why (valid after done)
+
+	served chan struct{} // in-process sessions: closed when the serving side ends
 }
 
-// dispatch is one frame handed from the read loop to a waiter. Chunk
-// and edit payloads are copied into a pooled buffer (buf), because the
-// frame reader's decode buffer is overwritten by the next read; the
-// consumer returns buf to the conn's pool when it picks up the stream's
-// next frame, so a transfer of any length cycles through at most
-// window+1 buffers instead of allocating per frame.
+// dispatch is one frame handed from the read loop to its request or
+// stream. Chunk and edit payloads are copied into a pooled buffer
+// (buf), because the frame reader's decode buffer is overwritten by the
+// next read; the consumer returns buf to the conn's pool when it picks
+// up the stream's next frame, so a transfer of any length cycles
+// through at most window+1 buffers instead of allocating per frame.
 type dispatch struct {
 	f   frame
 	buf *[]byte
 }
 
-// waiter is one request's or stream's dispatch slot.
-type waiter struct {
-	ch chan dispatch
-}
-
 // Dial connects to a peer host, performs the hello exchange, and
 // returns the session. The configured digest must match the host's.
 func Dial(addr string, cfg Config) (*Conn, error) {
-	win := cfg.Window
-	if win == 0 {
-		win = DefaultWindow
+	win, err := dialWindow(cfg.Window)
+	if err != nil {
+		return nil, err
 	}
-	if win < 0 {
-		return nil, fmt.Errorf("transport: dial: %w", ErrInvalidWindow)
-	}
-	win = clampWindow(win, 0)
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
+	return handshake(nc, cfg, win)
+}
+
+// dialWindow resolves the credit window a client grants in its hello:
+// zero means DefaultWindow, negative is refused, oversized is clamped.
+func dialWindow(w int) (int, error) {
+	if w < 0 {
+		return 0, fmt.Errorf("transport: dial: %w", ErrInvalidWindow)
+	}
+	if w == 0 {
+		w = DefaultWindow
+	}
+	return clampWindow(w, 0), nil
+}
+
+// handshake runs the hello exchange over an established connection —
+// a TCP socket or one end of an in-memory pipe — and starts the
+// session's read loop. It closes nc on failure.
+func handshake(nc net.Conn, cfg Config, win int) (_ *Conn, err error) {
+	defer func() {
+		if err != nil {
+			nc.Close()
+		}
+	}()
 	c := &Conn{
-		c:         nc,
-		fw:        frameWriter{w: nc},
-		timeout:   resolveLiveness(cfg.Timeout, DefaultTimeout),
+		endpoint: endpoint{c: nc, fw: frameWriter{w: nc},
+			timeout: resolveLiveness(cfg.Timeout, DefaultTimeout), obs: cfg.Obs},
 		heartbeat: resolveLiveness(cfg.Heartbeat, DefaultHeartbeat),
 		window:    win,
-		pending:   map[uint32]*waiter{},
+		pending:   map[uint32]chan dispatch{},
 		done:      make(chan struct{}),
-		obs:       cfg.Obs,
 		trace:     obs.NewTraceID(),
 	}
 	c.fw.tap, c.fw.sess = cfg.Tap, c.trace
@@ -155,7 +168,6 @@ func Dial(addr string, cfg Config) (*Conn, error) {
 		ver:  c.trace,
 		data: cfg.Digest,
 	}); err != nil {
-		nc.Close()
 		return nil, fmt.Errorf("transport: hello: %w", err)
 	}
 	fr := newFrameReader(nc)
@@ -164,7 +176,6 @@ func Dial(addr string, cfg Config) (*Conn, error) {
 	c.armReadDeadline()
 	f, err := fr.read()
 	if err != nil {
-		nc.Close()
 		if isTimeout(err) {
 			return nil, &TimeoutError{Op: "hello", After: c.timeout}
 		}
@@ -173,11 +184,9 @@ func Dial(addr string, cfg Config) (*Conn, error) {
 	switch f.typ {
 	case frameWelcome:
 		if f.flag != protocolVersion {
-			nc.Close()
 			return nil, fmt.Errorf("transport: protocol version mismatch: host speaks v%d, this client v%d", f.flag, protocolVersion)
 		}
 		if !bytes.Equal(f.data, cfg.Digest) {
-			nc.Close()
 			return nil, fmt.Errorf("transport: design digest mismatch (the host serves a different design)")
 		}
 	case frameRefuse:
@@ -185,13 +194,10 @@ func Dial(addr string, cfg Config) (*Conn, error) {
 		// error unwraps to ErrUnknownDesign or ErrOverCapacity and the
 		// caller can tell "not registered here" from "back off and
 		// retry".
-		nc.Close()
 		return nil, &RefusedError{Code: RefuseCode(f.flag), Reason: f.str}
 	case frameError:
-		nc.Close()
 		return nil, fmt.Errorf("transport: host refused session: %s", f.str)
 	default:
-		nc.Close()
 		return nil, fmt.Errorf("transport: unexpected hello response (frame type %d)", f.typ)
 	}
 	c.obs.Span(obs.Span{Trace: c.trace, Name: "hello", Start: helloStart, End: spanClock(cfg.Obs)})
@@ -212,14 +218,6 @@ func spanClock(c *obs.Collector) int64 {
 		return 0
 	}
 	return time.Now().UnixNano()
-}
-
-// armReadDeadline extends the liveness window by one timeout: the next
-// frame (any frame — a pong counts) must arrive within it.
-func (c *Conn) armReadDeadline() {
-	if c.timeout > 0 {
-		c.c.SetReadDeadline(time.Now().Add(c.timeout))
-	}
 }
 
 // heartbeatLoop keeps an idle session visibly alive: after a heartbeat
@@ -292,7 +290,7 @@ func (c *Conn) readLoop(fr *frameReader) {
 			d.f.data, d.buf = *bp, bp
 		}
 		select {
-		case w.ch <- d:
+		case w <- d:
 		default:
 			// A conforming host never has more frames in flight per
 			// stream than the dispatch buffer holds (the credit window
@@ -318,19 +316,14 @@ func (c *Conn) readLoop(fr *frameReader) {
 // capacity. Verdict requests use a small fixed slot; streams size
 // theirs to the credit window (window unacked chunks can be in flight
 // at once, plus the begin/end/error envelope and a trailing edit).
-func (c *Conn) register(slots int) (uint32, *waiter) {
+func (c *Conn) register(slots int) (uint32, chan dispatch) {
 	id := c.nextID.Add(1)
-	w := &waiter{ch: make(chan dispatch, slots)}
+	w := make(chan dispatch, slots)
 	c.mu.Lock()
 	c.pending[id] = w
 	c.mu.Unlock()
 	return id, w
 }
-
-// streamSlots is the dispatch capacity for a credit-windowed stream:
-// up to window unacked chunks, plus Begin/End/StreamErr and one edit
-// frame interleaving at phase boundaries.
-func (c *Conn) streamSlots() int { return c.window + 4 }
 
 func (c *Conn) unregister(id uint32) {
 	c.mu.Lock()
@@ -338,31 +331,17 @@ func (c *Conn) unregister(id uint32) {
 	c.mu.Unlock()
 }
 
-// send writes one frame under the write lock, with the liveness
-// deadline armed: a peer that stops draining its socket fails the write
-// in bounded time instead of parking the sender forever.
+// send writes one frame, stamping the write for the heartbeat.
 func (c *Conn) send(f frame) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	if c.timeout > 0 {
-		c.c.SetWriteDeadline(time.Now().Add(c.timeout))
+	if c.heartbeat > 0 {
+		c.lastWrite.Store(time.Now().UnixNano())
 	}
-	c.lastWrite.Store(time.Now().UnixNano())
-	start := c.obs.Nanos()
-	if err := c.fw.write(f); err != nil {
-		if isTimeout(err) {
-			return &TimeoutError{Op: "write", After: c.timeout}
-		}
-		return err
-	}
-	c.obs.Observe(obs.HFrameEncodeNs, c.obs.Nanos()-start)
-	c.obs.Add(obs.CFramesEncoded, 1)
-	return nil
+	return c.endpoint.send(f)
 }
 
-// TraceID returns the session's trace ID: minted at Dial, carried in
-// the hello, and tagged onto every telemetry span both processes emit
-// for this session.
+// TraceID returns the session's trace ID: minted by the dialing side,
+// carried in the hello, and tagged onto every telemetry span both
+// processes emit for this session.
 func (c *Conn) TraceID() uint64 { return c.trace }
 
 // sessionErr reports why the session died.
@@ -385,7 +364,7 @@ func (c *Conn) Verdict(ctx context.Context, fn string) (bool, error) {
 		return false, err
 	}
 	select {
-	case d := <-w.ch:
+	case d := <-w:
 		f := d.f
 		switch f.typ {
 		case frameVerdict:
@@ -398,8 +377,8 @@ func (c *Conn) Verdict(ctx context.Context, fn string) (bool, error) {
 		}
 	case <-ctx.Done():
 		// Withdraw the request so the host stops validating
-		// mid-document — the short-circuit behavior in-process peers
-		// get from their shared context.
+		// mid-document: a short-circuited round costs the peers no
+		// more work than it has already done.
 		c.send(frame{typ: frameVerdictCancel, id: id})
 		return false, ctx.Err()
 	case <-c.done:
@@ -410,49 +389,19 @@ func (c *Conn) Verdict(ctx context.Context, fn string) (bool, error) {
 // Open requests fn's fragment stream and waits for the host to announce
 // it (a Begin frame carrying the total size).
 func (c *Conn) Open(ctx context.Context, fn string) (Fragment, error) {
-	id, w := c.register(c.streamSlots())
 	start := spanClock(c.obs)
-	if err := c.send(frame{typ: frameOpen, id: id, str: fn}); err != nil {
-		c.unregister(id)
+	id, w, f, err := c.openStream(ctx, "open", frame{typ: frameOpen, str: fn}, frameBegin)
+	if err != nil {
 		return nil, err
 	}
-	select {
-	case d := <-w.ch:
-		f := d.f
-		switch f.typ {
-		case frameBegin:
-			// The begin frame echoes the effective window the host will
-			// honor; a conforming host never raises the hello grant.
-			if f.win < 1 || int(f.win) > c.window {
-				c.unregister(id)
-				c.send(frame{typ: frameReject, id: id, str: "bad window echo"})
-				return nil, fmt.Errorf("transport: open %s: host announced window %d outside granted [1,%d]", fn, f.win, c.window)
-			}
-			c.obs.Span(obs.Span{Trace: c.trace, Name: "open", Frag: fn, Start: start, End: spanClock(c.obs), Bytes: int64(f.size)})
-			return &tcpFragment{conn: c, id: id, w: w, fn: fn, size: int(f.size), opened: spanClock(c.obs)}, nil
-		case frameStreamErr:
-			c.unregister(id)
-			return nil, fmt.Errorf("transport: open %s: %s", fn, f.str)
-		default:
-			c.unregister(id)
-			return nil, fmt.Errorf("transport: unexpected frame type %d opening %s", f.typ, fn)
-		}
-	case <-ctx.Done():
-		c.unregister(id)
-		// Halt the transfer the caller no longer wants; the host's
-		// stream goroutine would otherwise park on its first ack.
-		c.send(frame{typ: frameReject, id: id, str: "open canceled"})
-		return nil, ctx.Err()
-	case <-c.done:
-		c.unregister(id)
-		return nil, c.sessionErr()
-	}
+	c.obs.Span(obs.Span{Trace: c.trace, Name: "open", Frag: fn, Start: start, End: spanClock(c.obs), Bytes: int64(f.size)})
+	return &connFragment{chunkStream: chunkStream{conn: c, id: id, w: w, what: "stream"}, fn: fn, size: int(f.size), opened: spanClock(c.obs)}, nil
 }
 
 // Subscribe opens a live subscription on fn's edit log and waits for
 // the host to announce the snapshot cut.
 func (c *Conn) Subscribe(ctx context.Context, fn string) (EditFeed, error) {
-	return c.subscribe(ctx, fn, 0, frameSubscribe)
+	return c.subscribe(ctx, frame{typ: frameSubscribe, str: fn})
 }
 
 // Resubscribe reopens a live subscription after a disconnect: `after`
@@ -462,149 +411,171 @@ func (c *Conn) Subscribe(ctx context.Context, fn string) (EditFeed, error) {
 // full snapshot cut (the log was compacted past `after`) and the feed
 // behaves exactly like a new subscription.
 func (c *Conn) Resubscribe(ctx context.Context, fn string, after uint64) (EditFeed, error) {
-	return c.subscribe(ctx, fn, after, frameResume)
+	return c.subscribe(ctx, frame{typ: frameResume, ver: after, str: fn})
 }
 
-// subscribe is the shared subscription handshake: send the request
-// frame, wait for the subscribed announcement.
-func (c *Conn) subscribe(ctx context.Context, fn string, after uint64, typ frameType) (EditFeed, error) {
-	id, w := c.register(c.streamSlots())
-	if err := c.send(frame{typ: typ, id: id, ver: after, str: fn}); err != nil {
-		c.unregister(id)
+func (c *Conn) subscribe(ctx context.Context, req frame) (EditFeed, error) {
+	id, w, f, err := c.openStream(ctx, "subscribe", req, frameSubscribed)
+	if err != nil {
 		return nil, err
 	}
+	return &connEditFeed{chunkStream: chunkStream{conn: c, id: id, w: w, what: "subscription"}, base: f.ver, size: int(f.size), resumed: f.flag != 0}, nil
+}
+
+// openStream is the handshake shared by fragment streams and
+// subscriptions: register a stream id, send the request, and wait for
+// the host's announcement (want) — or its typed refusal. The
+// announcement echoes the effective window the host will honor; a
+// conforming host never raises the hello grant.
+func (c *Conn) openStream(ctx context.Context, op string, req frame, want frameType) (uint32, chan dispatch, frame, error) {
+	// Dispatch capacity: up to window unacked chunks, plus
+	// Begin/End/StreamErr and an edit interleaving at a phase boundary.
+	id, w := c.register(c.window + 4)
+	req.id = id
+	fn := req.str
+	fail := func(err error) (uint32, chan dispatch, frame, error) {
+		c.unregister(id)
+		return 0, nil, frame{}, err
+	}
+	if err := c.send(req); err != nil {
+		return fail(err)
+	}
 	select {
-	case d := <-w.ch:
+	case d := <-w:
 		f := d.f
 		switch f.typ {
-		case frameSubscribed:
+		case want:
 			if f.win < 1 || int(f.win) > c.window {
-				c.unregister(id)
 				c.send(frame{typ: frameReject, id: id, str: "bad window echo"})
-				return nil, fmt.Errorf("transport: subscribe %s: host announced window %d outside granted [1,%d]", fn, f.win, c.window)
+				return fail(fmt.Errorf("transport: %s %s: host announced window %d outside granted [1,%d]", op, fn, f.win, c.window))
 			}
-			return &tcpEditFeed{conn: c, id: id, w: w, base: f.ver, size: int(f.size), resumed: f.flag != 0}, nil
+			return id, w, f, nil
 		case frameStreamErr:
-			c.unregister(id)
-			return nil, fmt.Errorf("transport: subscribe %s: %s", fn, f.str)
+			// A refusal code makes the cause typed, as a refused hello is.
+			cause := errors.New(f.str)
+			if f.flag != byte(RefuseGeneric) {
+				cause = &RefusedError{Code: RefuseCode(f.flag), Reason: f.str}
+			}
+			return fail(fmt.Errorf("transport: %s %s: %w", op, fn, cause))
 		default:
-			c.unregister(id)
-			return nil, fmt.Errorf("transport: unexpected frame type %d subscribing to %s", f.typ, fn)
+			return fail(fmt.Errorf("transport: %s %s: unexpected frame type %d", op, fn, f.typ))
 		}
 	case <-ctx.Done():
-		c.unregister(id)
-		c.send(frame{typ: frameReject, id: id, str: "subscribe canceled"})
-		return nil, ctx.Err()
+		// Halt the stream the caller no longer wants; the host's sender
+		// would otherwise park on its first ack.
+		c.send(frame{typ: frameReject, id: id, str: op + " canceled"})
+		return fail(ctx.Err())
 	case <-c.done:
-		c.unregister(id)
-		return nil, c.sessionErr()
+		return fail(c.sessionErr())
 	}
 }
 
-// tcpEditFeed is the receiver side of one TCP subscription: snapshot
+// chunkStream is the receiving end of one credit-windowed chunk flow:
+// a fragment transfer, or a subscription's snapshot phase.
+type chunkStream struct {
+	conn      *Conn
+	id        uint32
+	w         chan dispatch
+	what      string  // "stream" or "subscription", for errors
+	closed    bool    // aborted or unsubscribed by the receiver
+	received  uint64  // chunks picked up so far
+	lastAcked uint64  // cumulative count in the last ack sent
+	prev      *[]byte // pooled buffer behind the last returned chunk or edit
+}
+
+// next acknowledges every chunk consumed so far — a cumulative count
+// that replenishes the sender's credits, so a duplicate is idempotent
+// — and waits for the stream's next frame; a stream error frame ends
+// the stream with an error. A chunk or edit payload is valid until the
+// following call. Acking on the *next* call, not on
+// receipt, is what keeps rejection prompt: a receiver that rejects
+// after chunk k has never acked it, so the sender holds at most
+// window-1 further chunks of credit and serializes nothing past that.
+// With a window of 1 this is exactly the stop-and-wait wire.
+func (s *chunkStream) next(ctx context.Context) (frame, error) {
+	if s.closed {
+		return frame{}, fmt.Errorf("transport: read from closed %s", s.what)
+	}
+	if s.prev != nil {
+		s.conn.bufPool.Put(s.prev)
+		s.prev = nil
+	}
+	if s.received > s.lastAcked {
+		s.lastAcked = s.received
+		if err := s.conn.send(frame{typ: frameAck, id: s.id, ver: s.lastAcked}); err != nil {
+			return frame{}, err
+		}
+	}
+	select {
+	case d := <-s.w:
+		switch d.f.typ {
+		case frameChunk:
+			s.received++
+		case frameStreamErr:
+			s.conn.unregister(s.id)
+			return frame{}, fmt.Errorf("transport: %s failed: %s", s.what, d.f.str)
+		}
+		s.prev = d.buf
+		return d.f, nil
+	case <-ctx.Done():
+		return frame{}, ctx.Err()
+	case <-s.conn.done:
+		return frame{}, s.conn.sessionErr()
+	}
+}
+
+// connEditFeed is the receiver side of one subscription: snapshot
 // chunks first (credit-windowed and cumulatively acked like a fragment
 // transfer), then edits (stop-and-wait, acked with their version).
-type tcpEditFeed struct {
-	conn    *Conn
-	id      uint32
-	w       *waiter
+type connEditFeed struct {
+	chunkStream
 	base    uint64
 	size    int
 	resumed bool
 
-	received  uint64  // snapshot chunks picked up so far
-	lastAcked uint64  // cumulative count in the last ack sent
-	prevChunk *[]byte // pooled buffer behind the last returned chunk
-	prevEdit  *[]byte // pooled buffer behind the last returned edit
-
 	owesEditAck bool
 	lastVer     uint64
-	closed      bool
 }
 
-func (f *tcpEditFeed) Base() uint64      { return f.base }
-func (f *tcpEditFeed) SnapshotSize() int { return f.size }
-func (f *tcpEditFeed) Resumed() bool     { return f.resumed }
+func (f *connEditFeed) Base() uint64      { return f.base }
+func (f *connEditFeed) SnapshotSize() int { return f.size }
+func (f *connEditFeed) Resumed() bool     { return f.resumed }
 
-// release returns a pooled payload buffer once its chunk or edit is no
-// longer referenced by the caller.
-func (c *Conn) release(bp *[]byte) {
-	if bp != nil {
-		c.bufPool.Put(bp)
+func (f *connEditFeed) NextChunk() ([]byte, error) {
+	fr, err := f.next(context.Background())
+	if err != nil {
+		return nil, err
 	}
+	switch fr.typ {
+	case frameChunk:
+		return fr.data, nil
+	case frameEnd:
+		// Snapshot complete; the stream stays registered for edits.
+		return nil, io.EOF
+	}
+	return nil, fmt.Errorf("transport: unexpected frame type %d in snapshot", fr.typ)
 }
 
-func (f *tcpEditFeed) NextChunk() ([]byte, error) {
-	if f.closed {
-		return nil, fmt.Errorf("transport: read from closed subscription")
-	}
-	f.conn.release(f.prevChunk)
-	f.prevChunk = nil
-	if f.received > f.lastAcked {
-		// Cumulative ack: every consumed chunk replenishes the sender's
-		// credits; duplicates are idempotent by construction.
-		f.lastAcked = f.received
-		if err := f.conn.send(frame{typ: frameAck, id: f.id, ver: f.lastAcked}); err != nil {
-			return nil, err
-		}
-	}
-	select {
-	case d := <-f.w.ch:
-		fr := d.f
-		switch fr.typ {
-		case frameChunk:
-			f.received++
-			f.prevChunk = d.buf
-			return fr.data, nil
-		case frameEnd:
-			// Snapshot complete; the stream stays registered for edits.
-			return nil, io.EOF
-		case frameStreamErr:
-			f.conn.unregister(f.id)
-			return nil, fmt.Errorf("transport: subscription failed: %s", fr.str)
-		default:
-			return nil, fmt.Errorf("transport: unexpected frame type %d in snapshot", fr.typ)
-		}
-	case <-f.conn.done:
-		return nil, f.conn.sessionErr()
-	}
-}
-
-func (f *tcpEditFeed) NextEdit(ctx context.Context) (EditFrame, error) {
-	if f.closed {
-		return EditFrame{}, fmt.Errorf("transport: read from closed subscription")
-	}
-	f.conn.release(f.prevEdit)
-	f.prevEdit = nil
-	if f.owesEditAck {
+func (f *connEditFeed) NextEdit(ctx context.Context) (EditFrame, error) {
+	if f.owesEditAck && !f.closed {
 		f.owesEditAck = false
 		if err := f.conn.send(frame{typ: frameEditAck, id: f.id, ver: f.lastVer}); err != nil {
 			return EditFrame{}, err
 		}
 	}
-	select {
-	case d := <-f.w.ch:
-		fr := d.f
-		switch fr.typ {
-		case frameEdit:
-			f.owesEditAck = true
-			f.lastVer = fr.ver
-			f.prevEdit = d.buf
-			return EditFrame{Version: fr.ver, Op: fr.flag, Addr: fr.addr, Doc: fr.data}, nil
-		case frameStreamErr:
-			f.conn.unregister(f.id)
-			return EditFrame{}, fmt.Errorf("transport: subscription failed: %s", fr.str)
-		default:
-			return EditFrame{}, fmt.Errorf("transport: unexpected frame type %d in edit stream", fr.typ)
-		}
-	case <-ctx.Done():
-		return EditFrame{}, ctx.Err()
-	case <-f.conn.done:
-		return EditFrame{}, f.conn.sessionErr()
+	fr, err := f.next(ctx)
+	if err != nil {
+		return EditFrame{}, err
 	}
+	if fr.typ != frameEdit {
+		return EditFrame{}, fmt.Errorf("transport: unexpected frame type %d in edit stream", fr.typ)
+	}
+	f.owesEditAck = true
+	f.lastVer = fr.ver
+	return EditFrame{Version: fr.ver, Op: fr.flag, Addr: fr.addr, Doc: fr.data}, nil
 }
 
-func (f *tcpEditFeed) SendVerdict(version uint64, valid bool) error {
+func (f *connEditFeed) SendVerdict(version uint64, valid bool) error {
 	v := byte(0)
 	if valid {
 		v = 1
@@ -613,7 +584,7 @@ func (f *tcpEditFeed) SendVerdict(version uint64, valid bool) error {
 }
 
 // Close unsubscribes: the reject frame halts the host's edit sender.
-func (f *tcpEditFeed) Close() error {
+func (f *connEditFeed) Close() error {
 	if f.closed {
 		return nil
 	}
@@ -622,100 +593,76 @@ func (f *tcpEditFeed) Close() error {
 	return f.conn.send(frame{typ: frameReject, id: f.id, str: "unsubscribed"})
 }
 
-// Close tears the session down; in-flight operations fail.
+// Close tears the session down; in-flight operations fail. An
+// in-process session's Close also waits for its serving side, so the
+// host's slots are released when it returns.
 func (c *Conn) Close() error {
 	err := c.c.Close()
 	<-c.done // wait for the read loop so no dispatch races the caller
+	if c.served != nil {
+		<-c.served
+	}
 	return err
 }
 
-// tcpFragment is the receiver side of one TCP fragment stream.
-type tcpFragment struct {
-	conn      *Conn
-	id        uint32
-	w         *waiter
-	fn        string
-	size      int
-	opened    int64   // spanClock at open, for the chunks span
-	bytes     int64   // payload bytes received so far
-	received  uint64  // chunks picked up so far
-	lastAcked uint64  // cumulative count in the last ack sent
-	prev      *[]byte // pooled buffer behind the last returned chunk
-	aborted   bool
+// connFragment is the receiver side of one fragment stream.
+type connFragment struct {
+	chunkStream
+	fn     string
+	size   int
+	opened int64 // spanClock at open, for the chunks span
+	bytes  int64 // payload bytes received so far
 }
 
-func (f *tcpFragment) Size() int { return f.size }
+func (f *connFragment) Size() int { return f.size }
 
-// Next acknowledges every chunk consumed so far — a cumulative count
-// that replenishes the sender's credits — and waits for the next one.
-// Acking on the *next* call, not on receipt, is what keeps rejection
-// prompt: a receiver that rejects after chunk k has never acked it, so
-// the sender holds at most window-1 further chunks of credit and
-// serializes nothing past that. With a window of 1 this is exactly the
-// stop-and-wait wire: one ack per chunk, sender parked in between.
-func (f *tcpFragment) Next() ([]byte, error) {
-	if f.aborted {
-		return nil, fmt.Errorf("transport: read from aborted stream")
+// Next acknowledges every chunk consumed so far and waits for the next
+// one (see chunkStream.next).
+func (f *connFragment) Next() ([]byte, error) {
+	fr, err := f.next(context.Background())
+	if err != nil {
+		return nil, err
 	}
-	f.conn.release(f.prev)
-	f.prev = nil
-	if f.received > f.lastAcked {
-		f.lastAcked = f.received
-		if err := f.conn.send(frame{typ: frameAck, id: f.id, ver: f.lastAcked}); err != nil {
-			return nil, err
-		}
+	switch fr.typ {
+	case frameChunk:
+		f.bytes += int64(len(fr.data))
+		return fr.data, nil
+	case frameEnd:
+		f.conn.unregister(f.id)
+		f.span("")
+		return nil, io.EOF
 	}
-	select {
-	case d := <-f.w.ch:
-		fr := d.f
-		switch fr.typ {
-		case frameChunk:
-			f.received++
-			f.bytes += int64(len(fr.data))
-			f.prev = d.buf
-			return fr.data, nil
-		case frameEnd:
-			f.conn.unregister(f.id)
-			f.conn.obs.Span(obs.Span{
-				Trace: f.conn.trace, Name: "chunks", Frag: f.fn,
-				Start: f.opened, End: spanClock(f.conn.obs),
-				Bytes: f.bytes, N: int64(f.received),
-			})
-			return nil, io.EOF
-		case frameStreamErr:
-			f.conn.unregister(f.id)
-			return nil, fmt.Errorf("transport: stream failed: %s", fr.str)
-		default:
-			return nil, fmt.Errorf("transport: unexpected frame type %d mid-stream", fr.typ)
-		}
-	case <-f.conn.done:
-		return nil, f.conn.sessionErr()
-	}
+	return nil, fmt.Errorf("transport: unexpected frame type %d mid-stream", fr.typ)
+}
+
+// span records the transfer's chunks span.
+func (f *connFragment) span(err string) {
+	f.conn.obs.Span(obs.Span{
+		Trace: f.conn.trace, Name: "chunks", Frag: f.fn,
+		Start: f.opened, End: spanClock(f.conn.obs),
+		Bytes: f.bytes, N: int64(f.received), Err: err,
+	})
 }
 
 // DuplicateAck re-sends the last cumulative ack, verbatim. It exists
 // for fault injection: a duplicated ack must never grant the sender
 // extra credit, and re-sending the same cumulative count is the exact
 // wire event a retransmitting network would produce.
-func (f *tcpFragment) DuplicateAck() error {
-	if f.aborted {
-		return fmt.Errorf("transport: ack on aborted stream")
+func (f *connFragment) DuplicateAck() error {
+	if f.closed {
+		return fmt.Errorf("transport: ack on closed stream")
 	}
 	return f.conn.send(frame{typ: frameAck, id: f.id, ver: f.lastAcked})
 }
 
 // Abort rejects the transfer: the reject frame halts the sender, and
 // the stream's remaining frames (at most an in-flight End) are dropped.
-func (f *tcpFragment) Abort() {
-	if f.aborted {
+func (f *connFragment) Abort() {
+	if f.closed {
 		return
 	}
-	f.aborted = true
+	f.closed = true
 	f.conn.unregister(f.id)
-	f.conn.obs.Span(obs.Span{
-		Trace: f.conn.trace, Name: "chunks", Frag: f.fn,
-		Start: f.opened, End: spanClock(f.conn.obs),
-		Bytes: f.bytes, N: int64(f.received), Err: "aborted",
-	})
+	f.span("aborted")
 	f.conn.send(frame{typ: frameReject, id: f.id, str: "rejected by receiver"})
 }

@@ -1,8 +1,10 @@
 // Package transport is the wire layer of the p2p federation: it moves
 // verdicts and chunked fragment streams between the kernel peer and the
-// resource peers, behind one small interface with two implementations —
-// an in-process loopback (the original channel-based delivery) and a
-// real TCP transport speaking a length-prefixed binary frame protocol.
+// resource peers over one length-prefixed binary frame protocol. There
+// is one implementation of each side — the kernel peer's Conn and the
+// Host serving loop — and two ways to connect them: a TCP socket (Dial
+// against a listening Host) or an in-memory connection inside one
+// process (Local). Both carry the same bytes.
 //
 // The abstraction is asymmetric, matching the paper's model: resource
 // peers are passive *sources* (they answer verdict requests and stream
@@ -11,28 +13,26 @@
 // grants a window of N chunk credits at session open (negotiated in the
 // hello and echoed per stream in the begin frame), the sender
 // serializes into fixed-budget chunks and pipelines up to N of them
-// unacked (vectored writes over TCP, a window-buffered channel in
-// process), and cumulative acks replenish credits as chunks are
+// unacked, and cumulative acks replenish credits as chunks are
 // consumed. A window of 1 is exactly the classic stop-and-wait wire. A
 // rejection reaches the sender while at most one window of chunks is in
 // flight, so all bytes past sent+window are never serialized — the
 // communication win recorded in the federation's Stats.BytesSaved is
-// real on both transports, diminished by at most window·chunk bytes of
-// in-flight credit.
+// real, diminished by at most window·chunk bytes of in-flight credit.
 //
-// Protocol guarantees shared by both implementations, pinned by the
-// differential tests in internal/p2p:
+// Protocol guarantees, pinned by the differential tests in
+// internal/p2p:
 //
 //   - chunk boundaries depend only on the configured budget, so frame
-//     counts and delivered-byte totals are transport- and
+//     counts and delivered-byte totals are connection- and
 //     window-invariant;
 //   - Abort halts the sender mid-transfer; bytes past the failure point
 //     plus at most one window of credit are never serialized, let alone
 //     shipped;
 //   - a duplicated or stale ack never grants credit twice: acks carry a
 //     cumulative consumed-chunk count, so replaying one is a no-op;
-//   - a session is bound to a design digest: the TCP hello refuses to
-//     pair peers running different designs.
+//   - a session is bound to a design digest: the hello refuses to pair
+//     peers running different designs.
 package transport
 
 import (
@@ -125,7 +125,7 @@ func (m Multi) Close() error {
 }
 
 // Digest fingerprints a design from its canonical parts (kernel term,
-// type sources, …): the TCP hello exchanges it so a serve and a join
+// type sources, …): the hello exchanges it so a serve and a join
 // running different designs fail fast instead of producing a verdict
 // about nothing.
 func Digest(parts ...string) []byte {

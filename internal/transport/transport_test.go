@@ -54,12 +54,27 @@ func blob(n int) []byte {
 	return b
 }
 
-// eachTransport runs a conformance test against both implementations,
-// so the in-process reference and the TCP wire cannot drift apart.
+// local opens an in-process session serving sources, closed when the
+// test ends.
+func local(t testing.TB, sources map[string]Source, cfg Config) *Conn {
+	t.Helper()
+	digest := Digest("local")
+	cfg.Digest = digest
+	c, err := Local(HostConfig{Digest: digest, Sources: sources}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return c
+}
+
+// eachTransport runs a conformance test over both connections — the
+// in-memory pipe and a TCP socket — so the choice of connection stays
+// invisible to the protocol.
 func eachTransport(t *testing.T, sources map[string]Source, chunk int, run func(t *testing.T, s Session)) {
 	t.Helper()
 	t.Run("inproc", func(t *testing.T) {
-		run(t, &InProc{Sources: sources, Chunk: chunk})
+		run(t, local(t, sources, Config{Chunk: chunk}))
 	})
 	t.Run("tcp", func(t *testing.T) {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -197,8 +212,8 @@ func (s *blockingSource) Serialize(w io.Writer) error { return nil }
 
 // TestVerdictCancelPropagates pins the short-circuit guarantee across
 // the wire: canceling a Verdict call must stop the remote validation
-// mid-document (a verdict-cancel frame over TCP, the shared context in
-// process), not let it run to completion.
+// mid-document (a verdict-cancel frame the host turns into a canceled
+// context), not let it run to completion.
 func TestVerdictCancelPropagates(t *testing.T) {
 	src := &blockingSource{entered: make(chan struct{}), canceled: make(chan struct{})}
 	sources := map[string]Source{"f1": src}
@@ -434,8 +449,8 @@ func TestTCPHostCloseFailsSessions(t *testing.T) {
 }
 
 func TestMultiRoutesAndCloses(t *testing.T) {
-	a := &InProc{Sources: map[string]Source{"f1": &fakeSource{blob: blob(10), verdict: true}}, Chunk: 8}
-	b := &InProc{Sources: map[string]Source{"f2": &fakeSource{blob: blob(10), verdict: false}}, Chunk: 8}
+	a := local(t, map[string]Source{"f1": &fakeSource{blob: blob(10), verdict: true}}, Config{Chunk: 8})
+	b := local(t, map[string]Source{"f2": &fakeSource{blob: blob(10), verdict: false}}, Config{Chunk: 8})
 	m := Multi{"f1": a, "f2": b}
 	if v, err := m.Verdict(context.Background(), "f1"); err != nil || !v {
 		t.Fatalf("f1: v=%v err=%v", v, err)

@@ -230,13 +230,14 @@ func TestDialRejectsNegativeWindow(t *testing.T) {
 	}
 }
 
-// TestInProcWindowBoundsSender: the in-process sender runs at most one
-// credit window ahead of its receiver — serialized bytes never exceed
-// consumed + (window+1 ring slots) of chunk budget.
-func TestInProcWindowBoundsSender(t *testing.T) {
+// TestLocalWindowBoundsSender: over the in-memory connection the host's
+// sender still runs at most one credit window ahead of its receiver —
+// the pipe's buffer adds no credit, so serialized bytes never exceed
+// consumed + (window+2) chunks of budget.
+func TestLocalWindowBoundsSender(t *testing.T) {
 	const chunkBudget, win = 64, 4
 	src := &fakeSource{blob: blob(chunkBudget * 100), verdict: true, slow: true}
-	s := &InProc{Sources: map[string]Source{"f1": src}, Chunk: chunkBudget, Window: win}
+	s := local(t, map[string]Source{"f1": src}, Config{Chunk: chunkBudget, Window: win})
 	frag, err := s.Open(context.Background(), "f1")
 	if err != nil {
 		t.Fatal(err)
@@ -244,13 +245,13 @@ func TestInProcWindowBoundsSender(t *testing.T) {
 	defer frag.Abort()
 	consumed := 0
 	check := func() {
-		// The sender may fill the channel (win-1), the receiver handoff
-		// (1), the in-progress ring slot (1), and its internal write can
-		// land one more chunk boundary — allow one slack chunk.
-		limit := int64(consumed + win + 2*chunkBudget)
+		// The sender may have a full window unacked (the receiver acks
+		// the chunks it consumed on its next Next), one more chunk
+		// consumed but not yet acked, and a partial chunk in its buffer.
+		limit := int64(consumed + (win+2)*chunkBudget)
 		waitSettled(t, &src.serialized)
-		if n := src.serialized.Load(); n > int64(consumed)+int64((win+2)*chunkBudget) {
-			t.Fatalf("sender serialized %d bytes with %d consumed: ran past the %d-chunk window (limit ~%d)",
+		if n := src.serialized.Load(); n > limit {
+			t.Fatalf("sender serialized %d bytes with %d consumed: ran past the %d-chunk window (limit %d)",
 				n, consumed, win, limit)
 		}
 	}
